@@ -19,6 +19,8 @@ from .errors import ShapeError
 from .fileio import atomic_write_text
 from .tensor import no_grad
 
+CHUNK = 16  # sequences per no-grad forward pass in collect_activations
+
 
 @dataclass
 class ActivationVector:
@@ -69,8 +71,7 @@ class DistanceMatrix:
 
 
 def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len: int,
-                        seed: int, languages: list[str] | None = None,
-                        chunk: int = 16) -> list[ActivationVector]:
+                        seed: int, languages: list[str] | None = None) -> list[ActivationVector]:
     """Count routed tokens per (layer, expert) slot for each language.
 
     Runs forward passes only: no parameter is touched. Deterministic for a
@@ -92,9 +93,9 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
         seqs = pack_sequences(lang_docs, sequences_per_lang, seq_len, tokenizer, rng)
         seqs = seqs[:, :seq_len]  # routing needs inputs only, no shifted targets
         counts = None
-        for start in range(0, len(seqs), chunk):
+        for start in range(0, len(seqs), CHUNK):
             with no_grad():
-                out = model.forward(seqs[start:start + chunk])
+                out = model.forward(seqs[start:start + CHUNK])
             if counts is None:
                 counts = np.zeros(len(out.moe_stats) * n_experts, dtype=np.int64)
             for layer, stats in enumerate(out.moe_stats):
@@ -156,30 +157,31 @@ def pearson(a: DistanceMatrix, b: DistanceMatrix) -> float:
     return float(np.clip((dx @ dy) / math.sqrt(vx * vy), -1.0, 1.0))
 
 
-def filter_languages(vectors: list[ActivationVector], counts: dict[str, int],
-                     threshold: float) -> list[ActivationVector]:
+def filter_languages(codes: list[str], counts: dict[str, int],
+                     threshold: float) -> list[str]:
     """Keep languages whose document count reaches the threshold, order preserved."""
-    for v in vectors:
-        if v.lang not in counts:
-            raise ValueError(f"no document count for language {v.lang!r}")
-    return [v for v in vectors if counts[v.lang] >= threshold]
+    for code in codes:
+        if code not in counts:
+            raise ValueError(f"no document count for language {code!r}")
+    return [c for c in codes if counts[c] >= threshold]
 
 
-def correlation_sweep(vectors: list[ActivationVector], reference: DistanceMatrix,
-                      counts: dict[str, int],
+def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, int],
                       thresholds: list[float]) -> list[tuple[float, int, float | None]]:
-    """One (threshold, n_languages, r) row per threshold; r is None when fewer
-    than 3 common languages survive the filter."""
+    """One (threshold, n_languages, r) row per threshold.
+
+    Each row correlates a and b over their common languages whose document
+    count reaches the threshold; r is None when fewer than 3 survive.
+    """
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be sorted ascending")
-    ref_codes = set(reference.codes)
+    b_codes = set(b.codes)
+    common = [c for c in a.codes if c in b_codes]
     rows: list[tuple[float, int, float | None]] = []
     for thr in thresholds:
-        kept = [v for v in filter_languages(vectors, counts, thr) if v.lang in ref_codes]
-        if len(kept) < 3:
-            rows.append((thr, len(kept), None))
-            continue
-        rows.append((thr, len(kept), pearson(distance_matrix(kept), reference)))
+        kept = filter_languages(common, counts, thr)
+        r = pearson(a.restrict(kept), b.restrict(kept)) if len(kept) >= 3 else None
+        rows.append((thr, len(kept), r))
     return rows
 
 
@@ -239,9 +241,9 @@ def read_matrix_tsv(path: str) -> DistanceMatrix:
     return DistanceMatrix(codes, values)
 
 
-def write_sweep_tsv(rows: list[tuple[float, int, float | None]], path: str) -> None:
+def format_sweep_tsv(rows: list[tuple[float, int, float | None]]) -> str:
     lines = ["threshold\tn_languages\tpearson_r"]
     for thr, n, r in rows:
         thr_s = str(int(thr)) if float(thr).is_integer() else repr(float(thr))
         lines.append(f"{thr_s}\t{n}\t" + ("NA" if r is None else f"{r:.6f}"))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

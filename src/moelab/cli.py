@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenizer-train", help="train a byte-level BPE tokenizer")
     p.add_argument("--input", required=True, help="corpus JSONL with lang/text fields")
     p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="tokenizer JSON output path")
     p.set_defaults(func=cmd_tokenizer_train)
 
@@ -99,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_tokenizer_train(args) -> int:
     docs, _ = corpus_mod.load_jsonl(args.input)
-    tok = Tokenizer.train((d.text for d in docs), args.vocab_size, args.seed)
+    tok = Tokenizer.train((d.text for d in docs), args.vocab_size)
     tok.save(args.output)
     print(f"trained tokenizer: vocab_size={tok.vocab_size} merges={len(tok.merges)}")
     return 0
@@ -115,7 +114,7 @@ def cmd_train(args) -> int:
     trainer = trainer_mod.Trainer(net, docs, tok, schedule,
                                   batch_size=args.batch_size, seed=args.seed)
     rows = trainer.run(args.steps, log_path=args.log)
-    trainer.save(args.checkpoint_out)
+    trainer_mod.save_checkpoint(trainer.model, args.checkpoint_out, trainer)
     last = rows[-1]
     print(f"step {last.step}: lm_loss={last.lm_loss:.4f} moe_loss={last.moe_loss:.4f} "
           f"total={last.total_loss:.4f}")
@@ -207,21 +206,8 @@ def cmd_correlate(args) -> int:
         return 0
     counts = corpus_mod.read_doc_counts_tsv(args.doc_counts)
     thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
-    print("threshold\tn_languages\tpearson_r")
-    common = [c for c in a.codes if c in set(b.codes)]
-    for thr in thresholds:
-        if list(thresholds) != sorted(thresholds):
-            raise ValueError("thresholds must be sorted ascending")
-        for code in common:
-            if code not in counts:
-                raise ValueError(f"no document count for language {code!r}")
-        kept = [c for c in common if counts[c] >= thr]
-        thr_s = str(int(thr)) if thr.is_integer() else repr(thr)
-        if len(kept) < 3:
-            print(f"{thr_s}\t{len(kept)}\tNA")
-            continue
-        r = analysis.pearson(a.restrict(kept), b.restrict(kept))
-        print(f"{thr_s}\t{len(kept)}\t{r:.6f}")
+    rows = analysis.correlation_sweep(a, b, counts, thresholds)
+    print(analysis.format_sweep_tsv(rows), end="")
     return 0
 
 

@@ -160,7 +160,7 @@ class ForwardOutput:
 
 
 class Model:
-    """Decoder-only language model; see build() for deterministic initialization."""
+    """Decoder-only language model with seed-determined N(0, 0.02) weights and zero biases."""
 
     def __init__(self, config: ModelConfig):
         config.validate()
@@ -292,11 +292,6 @@ class Model:
         if squeeze:
             logits = logits.reshape(t, cfg.vocab_size)
         return ForwardOutput(logits=logits, moe_stats=stats, balance_losses=balances)
-
-
-def build(config: ModelConfig) -> Model:
-    """Construct a model with seed-determined N(0, 0.02) weights and zero biases."""
-    return Model(config)
 
 
 def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float = 0.0,

@@ -7,19 +7,24 @@ is scaled by its gate probability, so gradients reach the gate weights
 through that scalar factor while the argmax choice itself is non-differentiable
 and treated as constant.
 
-The layer also reports the statistics behind the load-balancing loss: the
-mean gate probability per expert, the fraction of tokens each expert served,
-and their scaled dot product.
+Dispatch is dropless: one stable sort by expert groups the tokens into
+contiguous runs, each expert runs once on its run, and the inverse
+permutation puts the outputs back in token order. An expert that receives no
+token is not called.
+
+moe_forward also returns the Switch load-balancing loss N * sum_i f_i * P_i
+(aux_loss), where f is the fraction of tokens routed to each expert and P the
+mean gate probability per expert.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, gather_pairs, gelu, scatter_rows, softmax, take_rows
+from .tensor import Tensor, as_tensor, concat, gelu, softmax
 
 
 @dataclass
@@ -62,17 +67,15 @@ class MoeLayer:
 class RoutingStats:
     """Per-layer routing snapshot for one forward pass over T tokens.
 
-    gate_probs is T x N; selected holds each token's expert index; mask is the
-    one-hot form of selected. avg_gate_prob and token_fraction are the two
-    length-N vectors whose scaled dot product is balance_loss.
+    selected holds each token's expert index. avg_gate_prob and
+    token_fraction are the length-N vectors P and f whose scaled dot product
+    is balance_loss.
     """
 
-    gate_probs: np.ndarray
     selected: np.ndarray
-    mask: np.ndarray
     avg_gate_prob: np.ndarray
     token_fraction: np.ndarray
-    balance_loss: float = field(default=0.0)
+    balance_loss: float
 
 
 def gate(x: Tensor, gate_weight: Tensor) -> tuple[Tensor, Tensor]:
@@ -83,37 +86,18 @@ def gate(x: Tensor, gate_weight: Tensor) -> tuple[Tensor, Tensor]:
     logits = x @ gate_weight.transpose()
     return logits, softmax(logits, axis=-1)
 
-def route(gate_probs) -> tuple[np.ndarray, np.ndarray]:
-    """Top-1 selection per row; ties resolve to the lowest expert index."""
-    probs = gate_probs.data if isinstance(gate_probs, Tensor) else np.asarray(gate_probs)
-    selected = probs.argmax(axis=-1)
-    mask = np.zeros_like(probs)
-    mask[np.arange(probs.shape[0]), selected] = 1.0
-    return selected, mask
 
-
-def load_balance_stats(gate_probs, mask) -> tuple[np.ndarray, np.ndarray]:
-    """Mean gate probability and routed-token fraction per expert."""
-    probs = gate_probs.data if isinstance(gate_probs, Tensor) else np.asarray(gate_probs)
-    mask = np.asarray(mask)
-    if probs.shape != mask.shape:
-        raise ShapeError(f"gate probs {probs.shape} and mask {mask.shape} disagree")
-    if probs.shape[0] == 0:
-        raise ValueError("load-balance statistics need at least one token")
-    return probs.mean(axis=0), mask.mean(axis=0)
-
-
-def aux_loss(avg_gate_prob, token_fraction) -> float:
+def aux_loss(avg_gate_prob, token_fraction) -> Tensor:
     """Load-balancing loss: n_experts times the dot product of the two vectors.
 
     Equals 1.0 when both are uniform and grows toward n_experts as routing
-    concentrates on fewer experts.
+    concentrates on fewer experts. Gradient flows through avg_gate_prob only.
     """
-    p = np.asarray(avg_gate_prob, dtype=np.float64)
+    p = as_tensor(avg_gate_prob)
     f = np.asarray(token_fraction, dtype=np.float64)
     if p.shape != f.shape or p.ndim != 1:
         raise ShapeError(f"expected matching vectors, got {p.shape} and {f.shape}")
-    return float(len(p) * np.dot(p, f))
+    return (p * f).sum() * float(len(f))
 
 
 def moe_forward(x: Tensor, layer: MoeLayer,
@@ -125,29 +109,19 @@ def moe_forward(x: Tensor, layer: MoeLayer,
     a constant: only the mean gate probability carries gradient.
     """
     n_tokens = x.shape[0]
-    n = layer.n_experts
     _, probs = gate(x, layer.gate_weight)
-    selected, mask = route(probs)
+    selected = probs.data.argmax(axis=-1)  # ties resolve to the lowest expert index
+    counts = np.bincount(selected, minlength=layer.n_experts)
+    order = np.argsort(selected, kind="stable")  # keeps token order within each expert
+    ends = np.cumsum(counts)
+    grouped = concat([ffn_forward(x[order[end - count:end]], expert, gelu_variant)
+                      for expert, count, end in zip(layer.experts, counts, ends) if count])
+    rows = np.arange(n_tokens)[:, None]
+    out = grouped[np.argsort(order)] * probs[rows, selected[:, None]]
 
-    out = None
-    for i in range(n):
-        idx = np.nonzero(selected == i)[0]
-        if idx.size == 0:
-            continue
-        expert_out = ffn_forward(take_rows(x, idx), layer.experts[i], gelu_variant)
-        gated = expert_out * gather_pairs(probs, idx, np.full(idx.shape, i))
-        placed = scatter_rows(gated, idx, n_tokens)
-        out = placed if out is None else out + placed
-
-    token_fraction = mask.mean(axis=0)
+    token_fraction = counts / n_tokens
     avg_gate_prob = probs.mean(axis=0)  # Tensor: keeps the gate on the loss path
-    balance = (avg_gate_prob * token_fraction).sum() * float(n)
-    stats = RoutingStats(
-        gate_probs=probs.data.copy(),
-        selected=selected,
-        mask=mask,
-        avg_gate_prob=avg_gate_prob.data.copy(),
-        token_fraction=token_fraction.copy(),
-        balance_loss=balance.item(),
-    )
+    balance = aux_loss(avg_gate_prob, token_fraction)
+    stats = RoutingStats(selected=selected, avg_gate_prob=avg_gate_prob.data.copy(),
+                         token_fraction=token_fraction, balance_loss=balance.item())
     return out, stats, balance

@@ -232,6 +232,18 @@ class Tensor:
         return Tensor._op(a.data.transpose(axes), (a,),
                           lambda g: a._accum(g.transpose(inverse)))
 
+    def __getitem__(self, key) -> "Tensor":
+        """numpy indexing (slices, integer arrays, index tuples); backward
+        scatter-adds, so rows picked more than once sum their gradients."""
+        a = self
+
+        def bwd(g: np.ndarray) -> None:
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, key, g)
+            a._accum(ga)
+
+        return Tensor._op(a.data[key], (a,), bwd)
+
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
@@ -377,58 +389,25 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
-    """Row lookup: out[..., :] = weight[ids[...], :], with scatter-add backward."""
+    """Row lookup weight[ids], with every id checked against the table size."""
     weight = as_tensor(weight)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.data.shape[0]):
         raise ValueError(
             f"embedding id outside [0, {weight.data.shape[0]}): min={ids.min()}, max={ids.max()}")
+    return weight[ids]
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Join tensors along the first axis; backward hands each part its own rows."""
+    parts = tuple(as_tensor(p) for p in parts)
+    ends = np.cumsum([p.data.shape[0] for p in parts])[:-1]
 
     def bwd(g: np.ndarray) -> None:
-        gw = np.zeros_like(weight.data)
-        np.add.at(gw, ids, g)
-        weight._accum(gw)
+        for p, gp in zip(parts, np.split(g, ends)):
+            p._accum(gp)
 
-    return Tensor._op(weight.data[ids], (weight,), bwd)
-
-
-def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows of a rank-2 tensor by index."""
-    x = as_tensor(x)
-    idx = np.asarray(idx)
-
-    def bwd(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        x._accum(gx)
-
-    return Tensor._op(x.data[idx], (x,), bwd)
-
-
-def scatter_rows(values: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
-    """Place rows of `values` at positions `idx` of a zero (n_rows, ...) tensor.
-
-    Indices must be unique (each output row written at most once).
-    """
-    values = as_tensor(values)
-    idx = np.asarray(idx)
-    out = np.zeros((n_rows,) + values.data.shape[1:], dtype=np.float64)
-    out[idx] = values.data
-    return Tensor._op(out, (values,), lambda g: values._accum(g[idx]))
-
-
-def gather_pairs(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Pick entries x[rows[k], cols[k]] as a column vector (k, 1)."""
-    x = as_tensor(x)
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-
-    def bwd(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, cols), g[:, 0])
-        x._accum(gx)
-
-    return Tensor._op(x.data[rows, cols][:, None], (x,), bwd)
+    return Tensor._op(np.concatenate([p.data for p in parts]), parts, bwd)
 
 
 # -- gradient verification -----------------------------------------------------

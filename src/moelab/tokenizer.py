@@ -65,14 +65,12 @@ class Tokenizer:
     # -- training ------------------------------------------------------------
 
     @classmethod
-    def train(cls, corpus: Iterable[str], vocab_size: int, seed: int = 0) -> "Tokenizer":
+    def train(cls, corpus: Iterable[str], vocab_size: int) -> "Tokenizer":
         """Learn merges from a document stream until the vocabulary is full.
 
-        Deterministic for a given corpus order; `seed` is accepted for
-        interface stability but byte-level BPE training has no random choices.
-        Stops early if no adjacent pair remains to merge.
+        Deterministic for a given corpus order: byte-level BPE training has no
+        random choices. Stops early if no adjacent pair remains to merge.
         """
-        del seed
         if vocab_size < _FIRST_MERGE_ID:
             raise ValueError(f"vocab_size must be at least {_FIRST_MERGE_ID}, got {vocab_size}")
         seqs = [list(text.encode("utf-8")) for text in corpus]

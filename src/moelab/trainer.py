@@ -23,6 +23,7 @@ from .optim import AdamState, adam_step, clip_global_norm
 from .tensor import Tensor, as_tensor, cross_entropy
 
 LOG_HEADER = "step\tlm_loss\tmoe_loss\ttotal_loss\tlr\ttokens_seen"
+CLIP_NORM = 1.0  # global gradient-norm bound applied before every Adam step
 
 
 @dataclass
@@ -124,8 +125,7 @@ class Trainer:
 
     def __init__(self, model: Model, docs: list[Document], tokenizer,
                  schedule: LrSchedule, batch_size: int, seed: int,
-                 seq_len: int | None = None, clip_norm: float = 1.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 seq_len: int | None = None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.model = model
@@ -135,9 +135,8 @@ class Trainer:
         self.batch_size = batch_size
         self.seq_len = seq_len if seq_len is not None else model.config.max_seq_len
         self.seed = seed
-        self.clip_norm = clip_norm
         self.params = model.named_parameters()
-        self.adam = AdamState(self.params, lr=schedule.peak, beta1=beta1, beta2=beta2, eps=eps)
+        self.adam = AdamState(self.params, lr=schedule.peak)
         self.step = 0
         self.tokens_seen = 0
 
@@ -151,7 +150,7 @@ class Trainer:
         breakdown = total_loss(out, targets, self.model.config.alpha)
         self.model.zero_grad()
         breakdown.node.backward()
-        clip_global_norm(self.params, self.clip_norm)
+        clip_global_norm(self.params, CLIP_NORM)
         adam_step(self.params, self.adam, lr=lr_at_step(step, self.schedule))
         self.model.zero_grad()
         return breakdown
@@ -177,9 +176,6 @@ class Trainer:
         return rows
 
     # -- persistence -----------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        save_checkpoint(self.model, path, trainer=self)
 
     @classmethod
     def resume(cls, path: str, docs: list[Document], tokenizer, schedule: LrSchedule,

@@ -9,9 +9,8 @@ from scipy import stats as scipy_stats
 
 from moelab.analysis import (ActivationVector, DistanceMatrix, collect_activations,
                              correlation_sweep, distance_matrix, filter_languages,
-                             heatmap_rows, pearson, read_matrix_tsv,
-                             write_heatmap_tsv, write_matrix_tsv, write_sweep_tsv,
-                             write_vectors_tsv)
+                             format_sweep_tsv, heatmap_rows, pearson, read_matrix_tsv,
+                             write_heatmap_tsv, write_matrix_tsv, write_vectors_tsv)
 from moelab.corpus import synth_corpus
 from moelab.errors import FormatError, ShapeError
 from moelab.model import Model, ModelConfig
@@ -27,7 +26,7 @@ def vec(lang, counts, n_experts=2):
 @pytest.fixture(scope="module")
 def tiny_setup():
     docs, truth = synth_corpus(2, 2, 6, 60, seed=3)
-    tok = Tokenizer.train((d.text for d in docs), 280, seed=0)
+    tok = Tokenizer.train((d.text for d in docs), 280)
     cfg = ModelConfig(n_layers=2, d_model=16, n_heads=2, max_seq_len=16,
                       vocab_size=300, n_experts=3, seed=5)
     return Model(cfg), tok, docs, truth
@@ -209,44 +208,52 @@ class TestPearson:
 class TestFilterAndSweep:
     COUNTS = {"aa": 2_000_000, "bb": 500, "cc": 40_000, "dd": 9}
 
+    CODES = ["aa", "bb", "cc", "dd"]
+
     def vectors(self):
         rng = np.random.default_rng(9)
-        return [vec(code, rng.integers(1, 30, size=4)) for code in ("aa", "bb", "cc", "dd")]
+        return [vec(code, rng.integers(1, 30, size=4)) for code in self.CODES]
 
     def test_threshold_filter(self):
-        kept = filter_languages(self.vectors(), self.COUNTS, 1e6)
-        assert [v.lang for v in kept] == ["aa"]
+        assert filter_languages(self.CODES, self.COUNTS, 1e6) == ["aa"]
 
     def test_zero_threshold_keeps_all(self):
-        assert len(filter_languages(self.vectors(), self.COUNTS, 0)) == 4
+        assert filter_languages(self.CODES, self.COUNTS, 0) == self.CODES
 
     def test_monotone_in_threshold(self):
-        sizes = [len(filter_languages(self.vectors(), self.COUNTS, t))
+        sizes = [len(filter_languages(self.CODES, self.COUNTS, t))
                  for t in (0, 10, 1000, 1e5, 1e7)]
         assert sizes == sorted(sizes, reverse=True)
 
     def test_missing_count_rejected(self):
         with pytest.raises(ValueError, match="aa"):
-            filter_languages(self.vectors(), {"bb": 1}, 0)
+            filter_languages(self.CODES, {"bb": 1}, 0)
 
     def test_sweep_rows(self):
         vectors = self.vectors()
-        reference = symmetric_matrix([v.lang for v in vectors], np.random.default_rng(10))
-        rows = correlation_sweep(vectors, reference, self.COUNTS, [0, 1e12])
-        assert rows[0][1] == 4 and rows[0][2] is not None
-        assert rows[1] == (1e12, 0, None)
+        reference = symmetric_matrix(self.CODES, np.random.default_rng(10))
+        rows = correlation_sweep(distance_matrix(vectors), reference, self.COUNTS,
+                                 [0, 100, 1e12])
+        assert rows[0] == (0, 4, pearson(distance_matrix(vectors), reference))
+        assert rows[2] == (1e12, 0, None)
+        # the restricted matrix gives the same r as distances over the kept vectors only
+        kept = [v for v in vectors if self.COUNTS[v.lang] >= 100]
+        assert rows[1][:2] == (100, 3)
+        assert rows[1][2] == pytest.approx(pearson(distance_matrix(kept), reference),
+                                           abs=1e-12)
 
     def test_sweep_language_counts_non_increasing(self):
         vectors = self.vectors()
-        reference = symmetric_matrix([v.lang for v in vectors], np.random.default_rng(11))
-        rows = correlation_sweep(vectors, reference, self.COUNTS, [0, 10, 1000, 1e5])
+        reference = symmetric_matrix(self.CODES, np.random.default_rng(11))
+        rows = correlation_sweep(distance_matrix(vectors), reference, self.COUNTS,
+                                 [0, 10, 1000, 1e5])
         ns = [n for _, n, _ in rows]
         assert ns == sorted(ns, reverse=True)
 
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            correlation_sweep(self.vectors(), symmetric_matrix(
-                ["aa", "bb", "cc", "dd"], np.random.default_rng(0)), self.COUNTS, [10, 0])
+            correlation_sweep(distance_matrix(self.vectors()), symmetric_matrix(
+                self.CODES, np.random.default_rng(0)), self.COUNTS, [10, 0])
 
 
 class TestTsvFormats:
@@ -289,10 +296,11 @@ class TestTsvFormats:
         lines = path.read_text().splitlines()
         assert lines[1] == "aa\t0.600000\t0.800000"
 
-    def test_sweep_tsv_na_row(self, tmp_path):
-        path = tmp_path / "s.tsv"
-        write_sweep_tsv([(0, 4, 0.5), (1e12, 1, None)], str(path))
-        lines = path.read_text().splitlines()
+    def test_sweep_tsv_na_row(self):
+        text = format_sweep_tsv([(0, 4, 0.5), (1e12, 1, None)])
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert len(lines) == 3
         assert lines[0] == "threshold\tn_languages\tpearson_r"
         assert lines[1] == "0\t4\t0.500000"
         assert lines[2] == "1000000000000\t1\tNA"

@@ -1,12 +1,14 @@
 """CLI surface: subcommands, exit codes, file outputs, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import moelab
 from moelab.cli import main
 from moelab.model import param_count, paper_config
 
@@ -34,7 +36,7 @@ def workspace(tmp_path_factory):
                  "--out", corpus, "--truth", truth]) == 0
     tok = str(root / "tok.json")
     assert main(["tokenizer-train", "--input", corpus, "--vocab-size", "300",
-                 "--seed", "0", "--output", tok]) == 0
+                 "--output", tok]) == 0
     config = small_config(root)
     ckpt = str(root / "model.ckpt")
     log = str(root / "train.tsv")
@@ -63,8 +65,11 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_runs_as_module(self):
+        src = os.path.dirname(os.path.dirname(moelab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "moelab", "frobnicate"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 2
 
 
@@ -153,6 +158,15 @@ class TestPipeline:
         assert lines[0] == "threshold\tn_languages\tpearson_r"
         assert lines[1].startswith("0\t4\t")
         assert lines[3] == "100\t0\tNA"
+
+    def test_correlate_unsorted_thresholds_print_nothing(self, workspace, tmp_path, capsys):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
+        assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
+                     "--doc-counts", str(counts), "--thresholds", "5,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sorted" in captured.err
 
     def test_correlate_requires_paired_flags(self, workspace, capsys):
         assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],

@@ -15,7 +15,7 @@ from moelab.tokenizer import BOS_ID, EOS_ID, Tokenizer
 
 @pytest.fixture(scope="module")
 def byte_tokenizer():
-    return Tokenizer.train(["ab"], vocab_size=259, seed=0)  # no merges: pure bytes
+    return Tokenizer.train(["ab"], vocab_size=259)  # no merges: pure bytes
 
 
 class TestLoadJsonl:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from moelab.errors import ConfigError
-from moelab.model import (Model, ModelConfig, build, desk_config, generate,
+from moelab.model import (Model, ModelConfig, desk_config, generate,
                           moe_layer_indices, paper_config, param_count)
 from moelab.tensor import no_grad
 
@@ -63,7 +63,7 @@ class TestPlacement:
 
 class TestBuild:
     def test_same_seed_bitwise_identical(self):
-        a, b = build(tiny_config(seed=5)), build(tiny_config(seed=5))
+        a, b = Model(tiny_config(seed=5)), Model(tiny_config(seed=5))
         for name, p in a.named_parameters().items():
             assert np.array_equal(p.data, b.named_parameters()[name].data), name
 

@@ -7,9 +7,8 @@ import pytest
 
 from moelab.errors import ShapeError
 from moelab.optim import AdamState, adam_step, clip_global_norm
-from moelab.tensor import (Tensor, cross_entropy, embedding, gather_pairs, gelu,
-                           grad_check, layer_norm, no_grad, scatter_rows,
-                           set_debug_checks, softmax, take_rows)
+from moelab.tensor import (Tensor, concat, cross_entropy, embedding, gelu, grad_check,
+                           layer_norm, no_grad, set_debug_checks, softmax)
 
 
 def matmul_oracle(a, b):
@@ -265,13 +264,12 @@ def test_gather_scatter_embedding_gradients():
     rng = np.random.default_rng(21)
     w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     ids = np.array([1, 1, 4, 0])
-    rows = np.array([0, 2])
 
     def loss():
-        e = embedding(w, ids)
-        g = take_rows(e, rows)
-        s = scatter_rows(g * 2.0, np.array([1, 3]), 5)
-        picked = gather_pairs(s, np.array([1, 3]), np.array([0, 2]))
+        e = embedding(w, ids)                   # id 1 looked up twice
+        rows = e[np.array([0, 2, 0])]           # fancy rows, row 0 picked twice
+        s = concat([rows * 2.0, e[1:3]])        # slice
+        picked = s[np.array([1, 3, 4]), np.array([0, 2, 1])]  # (row, col) pairs
         return (s ** 2).sum() + picked.sum()
 
     assert grad_check(loss, [w], h=1e-5, samples=18, seed=2) < 1e-4

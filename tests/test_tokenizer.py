@@ -15,42 +15,42 @@ LOREM = ("the quick brown fox jumps over the lazy dog while the lazy dog "
 def test_first_merge_on_repeated_byte():
     # hand-simulated BPE: "aaaaaaaa" has only the pair ('a','a'), so the one
     # merge allowed by vocab_size=260 must be (97, 97)
-    tok = Tokenizer.train(["aaaaaaaa"], vocab_size=260, seed=0)
+    tok = Tokenizer.train(["aaaaaaaa"], vocab_size=260)
     assert tok.merges == [(97, 97)]
     assert tok.vocab[259] == b"aa"
 
 
 def test_vocab_size_too_small_rejected():
     with pytest.raises(ValueError):
-        Tokenizer.train(["abc"], vocab_size=255, seed=0)
+        Tokenizer.train(["abc"], vocab_size=255)
     with pytest.raises(ValueError):
-        Tokenizer.train(["abc"], vocab_size=258, seed=0)
+        Tokenizer.train(["abc"], vocab_size=258)
 
 
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError):
-        Tokenizer.train([], vocab_size=300, seed=0)
+        Tokenizer.train([], vocab_size=300)
     with pytest.raises(ValueError):
-        Tokenizer.train(["", ""], vocab_size=300, seed=0)
+        Tokenizer.train(["", ""], vocab_size=300)
 
 
 def test_training_is_deterministic():
     corpus = ["abab abab", "banana band", "ababab"]
-    a = Tokenizer.train(corpus, vocab_size=300, seed=0)
-    b = Tokenizer.train(list(corpus), vocab_size=300, seed=9)
+    a = Tokenizer.train(corpus, vocab_size=300)
+    b = Tokenizer.train(list(corpus), vocab_size=300)
     assert a.merges == b.merges
     assert a.vocab == b.vocab
 
 
 def test_merge_count_bounded_by_corpus():
-    tok = Tokenizer.train(["ab"], vocab_size=400, seed=0)
+    tok = Tokenizer.train(["ab"], vocab_size=400)
     # one possible merge ('a','b'), then pairs are exhausted
     assert len(tok.merges) == 1
     assert tok.vocab_size == 260
 
 
 def test_encode_empty_and_merged_pair():
-    tok = Tokenizer.train(["aaaaaaaa"], vocab_size=260, seed=0)
+    tok = Tokenizer.train(["aaaaaaaa"], vocab_size=260)
     assert tok.encode("") == []
     assert tok.encode("aa") == [259]
     assert tok.encode("aaa") in ([259, 97], [97, 259])
@@ -64,7 +64,7 @@ def test_special_ids_fixed():
 
 
 def test_roundtrip_random_unicode():
-    tok = Tokenizer.train([LOREM], vocab_size=320, seed=0)
+    tok = Tokenizer.train([LOREM], vocab_size=320)
     rnd = random.Random(1234)
     for _ in range(60):
         n = rnd.randrange(0, 40)
@@ -76,32 +76,32 @@ def test_roundtrip_random_unicode():
 
 
 def test_roundtrip_on_training_like_text():
-    tok = Tokenizer.train([LOREM], vocab_size=400, seed=0)
+    tok = Tokenizer.train([LOREM], vocab_size=400)
     assert tok.decode(tok.encode(LOREM)) == LOREM
 
 
 def test_compression_no_longer_than_bytes():
-    tok = Tokenizer.train([LOREM], vocab_size=400, seed=0)
+    tok = Tokenizer.train([LOREM], vocab_size=400)
     sample = "the quick brown fox jumps over the lazy dog"
     assert len(tok.encode(sample)) <= len(sample.encode("utf-8"))
     assert len(tok.encode(sample)) < len(sample.encode("utf-8"))  # merges exist
 
 
 def test_decode_rejects_out_of_range():
-    tok = Tokenizer.train(["abc"], vocab_size=260, seed=0)
+    tok = Tokenizer.train(["abc"], vocab_size=260)
     assert tok.decode([]) == ""
     with pytest.raises(ValueError):
         tok.decode([tok.vocab_size])
 
 
 def test_all_byte_tokens_present():
-    tok = Tokenizer.train(["xy"], vocab_size=300, seed=0)
+    tok = Tokenizer.train(["xy"], vocab_size=300)
     for i in range(256):
         assert tok.vocab[i] == bytes([i])
 
 
 def test_save_load_roundtrip(tmp_path):
-    tok = Tokenizer.train([LOREM, "banana band"], vocab_size=350, seed=0)
+    tok = Tokenizer.train([LOREM, "banana band"], vocab_size=350)
     path = tmp_path / "tok.json"
     tok.save(str(path))
     loaded = Tokenizer.load(str(path))
@@ -115,7 +115,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_file_schema_fields(tmp_path):
-    tok = Tokenizer.train(["abab"], vocab_size=261, seed=0)
+    tok = Tokenizer.train(["abab"], vocab_size=261)
     path = tmp_path / "tok.json"
     tok.save(str(path))
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -126,7 +126,7 @@ def test_file_schema_fields(tmp_path):
 
 
 def test_load_rejects_bad_version(tmp_path):
-    tok = Tokenizer.train(["abab"], vocab_size=261, seed=0)
+    tok = Tokenizer.train(["abab"], vocab_size=261)
     path = tmp_path / "tok.json"
     tok.save(str(path))
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -137,7 +137,7 @@ def test_load_rejects_bad_version(tmp_path):
 
 
 def test_load_rejects_inconsistent_vocab(tmp_path):
-    tok = Tokenizer.train(["abab"], vocab_size=261, seed=0)
+    tok = Tokenizer.train(["abab"], vocab_size=261)
     path = tmp_path / "tok.json"
     tok.save(str(path))
     payload = json.loads(path.read_text(encoding="utf-8"))

@@ -22,12 +22,10 @@ def tiny_config(**overrides):
 
 def balanced_stats(n_experts):
     uniform = np.full(n_experts, 1.0 / n_experts)
-    probs = np.tile(uniform, (4, 1))
-    mask = np.zeros((4, n_experts))
-    mask[np.arange(4), np.arange(4) % n_experts] = 1.0
-    return RoutingStats(gate_probs=probs, selected=np.arange(4) % n_experts,
-                        mask=mask, avg_gate_prob=uniform,
-                        token_fraction=mask.mean(axis=0), balance_loss=1.0)
+    selected = np.arange(4) % n_experts
+    return RoutingStats(selected=selected, avg_gate_prob=uniform,
+                        token_fraction=np.bincount(selected, minlength=n_experts) / 4,
+                        balance_loss=1.0)
 
 
 def injected_output(aux_values, rows=3, vocab=8):
@@ -117,7 +115,7 @@ def word_docs(n_docs=4, words_per_doc=120, seed=0):
 @pytest.fixture(scope="module")
 def word_tokenizer():
     docs = word_docs()
-    return Tokenizer.train((d.text for d in docs), 300, 0)
+    return Tokenizer.train((d.text for d in docs), 300)
 
 
 class TestTrainer:
@@ -195,7 +193,7 @@ class TestCheckpoint:
         part = Trainer(model_b, docs, word_tokenizer, sched, batch_size=2, seed=31)
         part.run(3)
         ckpt = str(tmp_path / "resume.ckpt")
-        part.save(ckpt)
+        save_checkpoint(part.model, ckpt, part)
 
         resumed = Trainer.resume(ckpt, docs, word_tokenizer, sched, batch_size=2)
         tail = resumed.run(2)
