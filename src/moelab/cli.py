@@ -142,9 +142,13 @@ def cmd_perplexity(args) -> int:
     nll_sum: dict[str, float] = {}
     tok_count: dict[str, int] = {}
     max_len = net.config.max_seq_len
+    cut_docs = cut_tokens = 0
     for doc in docs:
         ids = [BOS_ID] + tok.encode(doc.text) + [EOS_ID]
-        ids = ids[:max_len + 1]
+        if len(ids) > max_len + 1:  # score the first window; count what lies past it
+            cut_docs += 1
+            cut_tokens += len(ids) - (max_len + 1)
+            ids = ids[:max_len + 1]
         if len(ids) < 2:
             continue
         arr = np.asarray(ids)
@@ -162,6 +166,9 @@ def cmd_perplexity(args) -> int:
     if total_tok == 0:
         raise ValueError("corpus contained no scorable tokens")
     print(f"overall\t{math.exp(total_nll / total_tok):.4f}\t{total_tok}")
+    if cut_docs:
+        print(f"warning: {cut_docs} documents exceed the {max_len}-token window; "
+              f"{cut_tokens} tokens past it were not scored", file=sys.stderr)
     return 0
 
 
@@ -219,7 +226,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, ConfigError, FormatError, ShapeError, OSError) as exc:
+    except (ValueError, ConfigError, FormatError, ShapeError, OSError,
+            FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,8 @@
 """GPT-style decoder-only transformer with alternating dense and MoE blocks.
 
-Layers come in pairs: one parity of layer indices keeps the standard dense
-feed-forward block, the other hosts a mixture-of-experts block, so half of
-the layers are MoE layers. Embeddings are tied between input and output, and
+Layers come in pairs: even layers keep the standard dense feed-forward block
+and odd layers host a mixture-of-experts block, so half of the layers are MoE
+layers, as in LOLA. Embeddings are tied between input and output, and
 positions use a learned absolute table. Blocks are pre-norm residual with a
 final layer norm.
 """
@@ -14,43 +14,44 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .moe import FeedForward, MoeLayer, RoutingStats, ffn_forward, moe_forward
 from .tensor import Tensor, embedding, layer_norm, no_grad, softmax
 
 INIT_STD = 0.02
+FFN_MULTIPLIER = 4  # feed-forward hidden width, in units of d_model
 LN_EPS = 1e-5
 MASKED_SCORE = -1e30  # finite so debug NaN/Inf checks stay usable; exp() underflows to exactly 0
 
 
 @dataclass
 class ModelConfig:
+    """The eight settings of a model: six sizes, the balance-loss weight, the init seed.
+
+    The feed-forward width (FFN_MULTIPLIER * d_model), the MoE placement (odd
+    layers) and the activation (exact GELU) are fixed. A dict or file that
+    sets any other field is rejected as unknown.
+    """
+
     n_layers: int
     d_model: int
     n_heads: int
     max_seq_len: int
     vocab_size: int
     n_experts: int
-    ffn_multiplier: int = 4
-    moe_placement: str = "odd"
     alpha: float = 0.01
-    gelu_variant: str = "exact"
     seed: int = 0
 
     def validate(self) -> None:
         problems = []
         for name in ("n_layers", "d_model", "n_heads", "max_seq_len", "vocab_size",
-                     "n_experts", "ffn_multiplier"):
+                     "n_experts"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be positive, got {getattr(self, name)}")
         if self.n_layers % 2 != 0:
             problems.append(f"n_layers must be even, got {self.n_layers}")
         if self.n_heads >= 1 and self.d_model % self.n_heads != 0:
             problems.append(f"n_heads={self.n_heads} does not divide d_model={self.d_model}")
-        if self.moe_placement not in ("odd", "even"):
-            problems.append(f"moe_placement must be 'odd' or 'even', got {self.moe_placement!r}")
-        if self.gelu_variant not in ("exact", "tanh"):
-            problems.append(f"gelu_variant must be 'exact' or 'tanh', got {self.gelu_variant!r}")
         if self.alpha < 0:
             problems.append(f"alpha must be non-negative, got {self.alpha}")
         if problems:
@@ -99,8 +100,7 @@ def desk_config(**overrides) -> ModelConfig:
 
 
 def moe_layer_indices(config: ModelConfig) -> list[int]:
-    parity = 1 if config.moe_placement == "odd" else 0
-    return [i for i in range(config.n_layers) if i % 2 == parity]
+    return list(range(1, config.n_layers, 2))
 
 
 def param_count(config: ModelConfig) -> tuple[int, int]:
@@ -112,7 +112,7 @@ def param_count(config: ModelConfig) -> tuple[int, int]:
     """
     config.validate()
     d, v, s, n = config.d_model, config.vocab_size, config.max_seq_len, config.n_experts
-    hidden = config.ffn_multiplier * d
+    hidden = FFN_MULTIPLIER * d
     ffn = 2 * d * hidden + hidden + d  # w1 + b1 + w2 + b2
     attn = 4 * d * d + 4 * d
     ln = 2 * d
@@ -160,74 +160,77 @@ class ForwardOutput:
 
 
 class Model:
-    """Decoder-only language model with seed-determined N(0, 0.02) weights and zero biases."""
+    """Decoder-only language model with seed-determined N(0, 0.02) weights and zero biases.
 
-    def __init__(self, config: ModelConfig):
+    __init__ is the one place that names the parameters: each is created by
+    param(), which registers it under its dotted name. Creation order is the
+    order of named_parameters(), of the init draws, of the checkpoint tensors
+    and of the optimizer. With `weights` (name -> array, as read_checkpoint
+    returns it) every parameter takes a float64 copy of its stored array
+    instead, and nothing is drawn; a missing or wrongly shaped array raises
+    FormatError, and names the model does not have are ignored.
+    """
+
+    def __init__(self, config: ModelConfig, weights: dict[str, np.ndarray] | None = None):
         config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
         d = config.d_model
-        hidden = config.ffn_multiplier * d
+        hidden = FFN_MULTIPLIER * d
+        self._params: dict[str, Tensor] = {}
 
-        def weight(*shape) -> Tensor:
-            return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
+        def param(name: str, shape: tuple[int, ...], fill: float | None = None) -> Tensor:
+            if weights is not None:
+                if name not in weights:
+                    raise FormatError(f"weights lack tensor {name!r}")
+                if weights[name].shape != shape:
+                    raise FormatError(
+                        f"tensor {name!r} has shape {weights[name].shape}, expected {shape}")
+                data = np.array(weights[name], dtype=np.float64)
+            elif fill is None:
+                data = rng.normal(0.0, INIT_STD, size=shape)
+            else:
+                data = np.full(shape, fill)
+            self._params[name] = Tensor(data, requires_grad=True)
+            return self._params[name]
 
-        def zeros(*shape) -> Tensor:
-            return Tensor(np.zeros(shape), requires_grad=True)
+        def ffn(prefix: str) -> FeedForward:
+            return FeedForward(w1=param(f"{prefix}.w1", (d, hidden)),
+                               b1=param(f"{prefix}.b1", (hidden,), 0.0),
+                               w2=param(f"{prefix}.w2", (hidden, d)),
+                               b2=param(f"{prefix}.b2", (d,), 0.0))
 
-        def ones(*shape) -> Tensor:
-            return Tensor(np.ones(shape), requires_grad=True)
-
-        def make_ffn() -> FeedForward:
-            return FeedForward(w1=weight(d, hidden), b1=zeros(hidden),
-                               w2=weight(hidden, d), b2=zeros(d))
-
-        self.tok_emb = weight(config.vocab_size, d)
-        self.pos_emb = weight(config.max_seq_len, d)
+        self.tok_emb = param("tok_emb", (config.vocab_size, d))
+        self.pos_emb = param("pos_emb", (config.max_seq_len, d))
         moe_at = set(moe_layer_indices(config))
         self.layers: list[DecoderLayer] = []
         for i in range(config.n_layers):
-            attn = AttentionParams(
-                wq=weight(d, d), wk=weight(d, d), wv=weight(d, d), wo=weight(d, d),
-                bq=zeros(d), bk=zeros(d), bv=zeros(d), bo=zeros(d))
-            layer = DecoderLayer(ln1_gain=ones(d), ln1_bias=zeros(d), attn=attn,
-                                 ln2_gain=ones(d), ln2_bias=zeros(d))
+            p = f"layers.{i}"
+            layer = DecoderLayer(
+                ln1_gain=param(f"{p}.ln1.gain", (d,), 1.0),
+                ln1_bias=param(f"{p}.ln1.bias", (d,), 0.0),
+                attn=AttentionParams(
+                    **{n: param(f"{p}.attn.{n}", (d, d)) for n in ("wq", "wk", "wv", "wo")},
+                    **{n: param(f"{p}.attn.{n}", (d,), 0.0) for n in ("bq", "bk", "bv", "bo")}),
+                ln2_gain=param(f"{p}.ln2.gain", (d,), 1.0),
+                ln2_bias=param(f"{p}.ln2.bias", (d,), 0.0))
             if i in moe_at:
                 layer.moe = MoeLayer(
-                    gate_weight=weight(config.n_experts, d),
-                    experts=[make_ffn() for _ in range(config.n_experts)])
+                    gate_weight=param(f"{p}.moe.gate", (config.n_experts, d)),
+                    experts=[ffn(f"{p}.moe.experts.{e}") for e in range(config.n_experts)])
             else:
-                layer.ffn = make_ffn()
+                layer.ffn = ffn(f"{p}.ffn")
             self.layers.append(layer)
-        self.lnf_gain = ones(d)
-        self.lnf_bias = zeros(d)
-
-    # -- parameter registry ----------------------------------------------------
+        self.lnf_gain = param("lnf.gain", (d,), 1.0)
+        self.lnf_bias = param("lnf.bias", (d,), 0.0)
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb}
-        for i, layer in enumerate(self.layers):
-            p = f"layers.{i}"
-            out[f"{p}.ln1.gain"] = layer.ln1_gain
-            out[f"{p}.ln1.bias"] = layer.ln1_bias
-            for name in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo"):
-                out[f"{p}.attn.{name}"] = getattr(layer.attn, name)
-            out[f"{p}.ln2.gain"] = layer.ln2_gain
-            out[f"{p}.ln2.bias"] = layer.ln2_bias
-            if layer.moe is not None:
-                out.update(layer.moe.named(f"{p}.moe"))
-            else:
-                out.update(layer.ffn.named(f"{p}.ffn"))
-        out["lnf.gain"] = self.lnf_gain
-        out["lnf.bias"] = self.lnf_bias
-        return out
+        """Every parameter by dotted name, in creation order (a new dict; the same Tensors)."""
+        return dict(self._params)
 
     def zero_grad(self) -> None:
-        for p in self.named_parameters().values():
+        for p in self._params.values():
             p.zero_grad()
-
-    def param_count(self) -> tuple[int, int]:
-        return param_count(self.config)
 
     # -- forward -----------------------------------------------------------------
 
@@ -279,13 +282,12 @@ class Model:
 
             h = layer_norm(x, layer.ln2_gain, layer.ln2_bias, LN_EPS)
             if layer.moe is not None:
-                y, layer_stats, balance = moe_forward(
-                    h.reshape(b * t, d), layer.moe, cfg.gelu_variant)
+                y, layer_stats, balance = moe_forward(h.reshape(b * t, d), layer.moe)
                 x = x + y.reshape(b, t, d)
                 stats.append(layer_stats)
                 balances.append(balance)
             else:
-                x = x + ffn_forward(h, layer.ffn, cfg.gelu_variant)
+                x = x + ffn_forward(h, layer.ffn)
 
         x = layer_norm(x, self.lnf_gain, self.lnf_bias, LN_EPS)
         logits = x @ self.tok_emb.transpose()

@@ -36,13 +36,9 @@ class FeedForward:
     w2: Tensor
     b2: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
-
-def ffn_forward(x: Tensor, ffn: FeedForward, gelu_variant: str = "exact") -> Tensor:
-    return gelu(x @ ffn.w1 + ffn.b1, gelu_variant) @ ffn.w2 + ffn.b2
+def ffn_forward(x: Tensor, ffn: FeedForward) -> Tensor:
+    return gelu(x @ ffn.w1 + ffn.b1) @ ffn.w2 + ffn.b2
 
 
 @dataclass
@@ -55,12 +51,6 @@ class MoeLayer:
     @property
     def n_experts(self) -> int:
         return len(self.experts)
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.gate": self.gate_weight}
-        for i, ex in enumerate(self.experts):
-            out.update(ex.named(f"{prefix}.experts.{i}"))
-        return out
 
 
 @dataclass
@@ -100,8 +90,7 @@ def aux_loss(avg_gate_prob, token_fraction) -> Tensor:
     return (p * f).sum() * float(len(f))
 
 
-def moe_forward(x: Tensor, layer: MoeLayer,
-                gelu_variant: str = "exact") -> tuple[Tensor, RoutingStats, Tensor]:
+def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats, Tensor]:
     """Route each of the T tokens in x (T x d) through its top-1 expert.
 
     Returns the combined layer output, the routing statistics, and the
@@ -114,7 +103,7 @@ def moe_forward(x: Tensor, layer: MoeLayer,
     counts = np.bincount(selected, minlength=layer.n_experts)
     order = np.argsort(selected, kind="stable")  # keeps token order within each expert
     ends = np.cumsum(counts)
-    grouped = concat([ffn_forward(x[order[end - count:end]], expert, gelu_variant)
+    grouped = concat([ffn_forward(x[order[end - count:end]], expert)
                       for expert, count, end in zip(layer.experts, counts, ends) if count])
     rows = np.arange(n_tokens)[:, None]
     out = grouped[np.argsort(order)] * probs[rows, selected[:, None]]

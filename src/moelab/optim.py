@@ -7,32 +7,28 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class AdamState:
     """First/second moment estimates plus step counter for a set of named parameters."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict[str, Tensor]):
         self.step = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float | None = None) -> None:
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update in place; missing gradients count as zero."""
     if set(params) != set(state.m):
         raise ShapeError("optimizer state does not cover the same parameter names")
-    if lr is None:
-        lr = state.lr
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         m, v = state.m[name], state.v[name]
         if m.shape != p.data.shape:
@@ -40,11 +36,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float | None = No
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match parameter {name} {p.data.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:

@@ -23,8 +23,6 @@ from .errors import ShapeError
 _grad_enabled = True
 _debug_checks = False
 
-_GELU_TANH_C = math.sqrt(2.0 / math.pi)
-
 
 def set_debug_checks(enabled: bool) -> None:
     """Toggle NaN/Inf detection on every op output (debug mode; off by default)."""
@@ -288,31 +286,16 @@ def as_tensor(x) -> Tensor:
 # -- fused operations ---------------------------------------------------------
 
 
-def gelu(x: Tensor, variant: str = "exact") -> Tensor:
-    """Gaussian Error Linear Unit, x * CDF(x).
-
-    The canonical form uses the exact Gaussian CDF; variant="tanh" selects the
-    common tanh approximation.
-    """
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian Error Linear Unit, x * CDF(x), with the exact Gaussian CDF."""
     x = as_tensor(x)
-    if variant == "exact":
-        phi = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
+    phi = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
 
-        def bwd(g: np.ndarray) -> None:
-            pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
-            x._accum(g * (phi + x.data * pdf))
+    def bwd(g: np.ndarray) -> None:
+        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
+        x._accum(g * (phi + x.data * pdf))
 
-        return Tensor._op(x.data * phi, (x,), bwd)
-    if variant == "tanh":
-        u = _GELU_TANH_C * (x.data + 0.044715 * x.data ** 3)
-        t = np.tanh(u)
-
-        def bwd_tanh(g: np.ndarray) -> None:
-            du = _GELU_TANH_C * (1.0 + 3.0 * 0.044715 * x.data * x.data)
-            x._accum(g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du))
-
-        return Tensor._op(0.5 * x.data * (1.0 + t), (x,), bwd_tanh)
-    raise ValueError(f"unknown gelu variant {variant!r}")
+    return Tensor._op(x.data * phi, (x,), bwd)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -136,21 +136,33 @@ class Trainer:
         self.seq_len = seq_len if seq_len is not None else model.config.max_seq_len
         self.seed = seed
         self.params = model.named_parameters()
-        self.adam = AdamState(self.params, lr=schedule.peak)
+        self.adam = AdamState(self.params)
         self.step = 0
         self.tokens_seen = 0
 
     def train_step(self, batch: np.ndarray, step: int) -> LossBreakdown:
-        """One forward/backward/Adam update on a (B, L+1) id batch."""
+        """One forward/backward/Adam update on a (B, L+1) id batch.
+
+        A non-finite loss or gradient norm raises FloatingPointError before
+        the update, so parameters and optimizer state stay as they were.
+        """
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[0] == 0 or batch.shape[1] < 2:
             raise ValueError(f"batch must be (B, L+1) with B >= 1 and L >= 1, got {batch.shape}")
         inputs, targets = batch[:, :-1], batch[:, 1:]
         out = self.model.forward(inputs)
         breakdown = total_loss(out, targets, self.model.config.alpha)
+        if not math.isfinite(breakdown.total_loss):
+            raise FloatingPointError(f"step {step}: total loss is {breakdown.total_loss}")
         self.model.zero_grad()
         breakdown.node.backward()
-        clip_global_norm(self.params, CLIP_NORM)
+        norm = clip_global_norm(self.params, CLIP_NORM)
+        if not math.isfinite(norm):
+            bad = next((name for name, p in self.params.items()
+                        if p.grad is not None and not np.isfinite(p.grad).all()), None)
+            self.model.zero_grad()
+            raise FloatingPointError(f"step {step}: gradient norm is {norm}"
+                                     + (f", first non-finite gradient in {bad!r}" if bad else ""))
         adam_step(self.params, self.adam, lr=lr_at_step(step, self.schedule))
         self.model.zero_grad()
         return breakdown
@@ -187,11 +199,7 @@ class Trainer:
                       seed=state["seed"], **kwargs)
         trainer.step = state["step"]
         trainer.tokens_seen = state["tokens_seen"]
-        adam = state["adam"]
-        trainer.adam.step = adam["step"]
-        trainer.adam.beta1 = adam["beta1"]
-        trainer.adam.beta2 = adam["beta2"]
-        trainer.adam.eps = adam["eps"]
+        trainer.adam.step = state["adam"]["step"]
         for name in trainer.params:
             trainer.adam.m[name] = state["moments_m"][name]
             trainer.adam.v[name] = state["moments_v"][name]
@@ -207,9 +215,7 @@ def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> 
             "step": trainer.step,
             "seed": trainer.seed,
             "tokens_seen": trainer.tokens_seen,
-            "adam": {"step": trainer.adam.step, "lr": trainer.adam.lr,
-                     "beta1": trainer.adam.beta1, "beta2": trainer.adam.beta2,
-                     "eps": trainer.adam.eps},
+            "adam": {"step": trainer.adam.step},
         }
         for name in trainer.params:
             tensors[f"adam.m.{name}"] = trainer.adam.m[name]
@@ -218,20 +224,15 @@ def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> 
 
 
 def load_checkpoint(path: str) -> tuple[Model, dict | None]:
-    """Rebuild the model (parameters restored bitwise) and any trainer state."""
+    """Build the model from the stored parameters (bitwise, no init draw) plus any trainer state."""
     header, tensors = read_checkpoint(path)
     if "model" not in header:
         raise FormatError(f"{path}: checkpoint header lacks a model config")
     config = ModelConfig.from_dict(header["model"])
-    model = Model(config)
-    for name, p in model.named_parameters().items():
-        if name not in tensors:
-            raise FormatError(f"{path}: checkpoint is missing tensor {name!r}")
-        arr = tensors[name]
-        if arr.shape != p.data.shape:
-            raise FormatError(
-                f"{path}: tensor {name!r} has shape {arr.shape}, expected {p.data.shape}")
-        p.data = arr.astype(np.float64)
+    try:
+        model = Model(config, tensors)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     state = header.get("state")
     if state is not None:
         state = dict(state)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,9 +87,24 @@ class TestParamCount:
         assert abs(total - 7.46e9) / 7.46e9 < 0.01
 
 
+class TestRuntimeFailures:
+    def test_diverging_train_exits_one(self, workspace, tmp_path, capsys):
+        # a huge peak lr blows the weights up at step 1; step 2 then sees a NaN loss
+        ckpt = tmp_path / "never.ckpt"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", workspace["config"],
+                         "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
+                         "--steps", "4", "--batch-size", "2", "--seed", "7", "--lr", "1e300",
+                         "--checkpoint-out", str(ckpt), "--log", str(tmp_path / "log.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 2: total loss is nan")
+        assert not ckpt.exists()
+
+
 class TestPipeline:
     def test_training_log_format(self, workspace):
-        lines = open(workspace["log"]).read().splitlines()
+        lines = Path(workspace["log"]).read_text().splitlines()
         assert lines[0] == "step\tlm_loss\tmoe_loss\ttotal_loss\tlr\ttokens_seen"
         assert len(lines) == 7
 
@@ -101,7 +117,7 @@ class TestPipeline:
                          "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
                          "--steps", "5", "--batch-size", "2", "--seed", "7",
                          "--checkpoint-out", ckpt, "--log", log]) == 0
-            logs.append(open(log, "rb").read())
+            logs.append(Path(log).read_bytes())
         assert logs[0] == logs[1]
 
     def test_generate_deterministic(self, workspace, capsys):
@@ -121,6 +137,35 @@ class TestPipeline:
         assert lines[-1].startswith("overall\t")
         assert len(lines) == 2 + 4  # four languages plus header and overall
 
+    def test_perplexity_reports_truncation_on_stderr(self, workspace, tmp_path, capsys):
+        from moelab.corpus import Document, load_jsonl, write_jsonl
+        from moelab.tokenizer import Tokenizer
+        tok = Tokenizer.load(workspace["tok"])
+        docs, _ = load_jsonl(workspace["corpus"])
+        window = json.loads(Path(workspace["config"]).read_text())["max_seq_len"]
+        targets = [len(tok.encode(d.text)) + 1 for d in docs]  # BOS + text + EOS, shifted
+        cut = [n - window for n in targets if n > window]
+        assert cut, "the workspace corpus must exceed the window"
+        expected = {}
+        for d, n in zip(docs, targets):
+            expected[d.lang] = expected.get(d.lang, 0) + min(n, window)
+
+        assert main(["perplexity", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", workspace["corpus"]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (f"warning: {len(cut)} documents exceed the {window}-token "
+                                f"window; {sum(cut)} tokens past it were not scored\n")
+        rows = [line.split("\t") for line in captured.out.splitlines()]
+        assert rows[0] == ["lang", "perplexity", "tokens"]
+        assert {r[0]: int(r[2]) for r in rows[1:-1]} == expected
+        assert rows[-1][0] == "overall" and int(rows[-1][2]) == sum(expected.values())
+
+        short = tmp_path / "short.jsonl"
+        write_jsonl([Document("aa", docs[0].text[:10])], str(short))
+        assert main(["perplexity", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", str(short)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_perplexity_lang_filter(self, workspace, capsys):
         assert main(["perplexity", "--checkpoint", workspace["ckpt"],
                      "--tokenizer", workspace["tok"], "--corpus", workspace["corpus"],
@@ -137,7 +182,7 @@ class TestPipeline:
                      "--out-dir", out_dir]) == 0
         capsys.readouterr()
         for name in ("vectors.tsv", "distance.tsv", "heatmap.tsv"):
-            lines = open(f"{out_dir}/{name}").read().splitlines()
+            lines = Path(out_dir, name).read_text().splitlines()
             assert len(lines) == 5, name  # header + 4 languages
 
     def test_correlate_single_value(self, workspace, capsys):

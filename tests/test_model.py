@@ -32,7 +32,7 @@ class TestConfig:
             ModelConfig.from_dict({"n_layerz": 2})
 
     def test_json_roundtrip(self, tmp_path):
-        cfg = tiny_config(alpha=0.02, gelu_variant="tanh")
+        cfg = tiny_config(alpha=0.02)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.to_dict()))
         assert ModelConfig.load(str(path)) == cfg
@@ -50,9 +50,6 @@ class TestPlacement:
 
     def test_four_layers_moe_at_one_and_three(self):
         assert moe_layer_indices(tiny_config(n_layers=4)) == [1, 3]
-
-    def test_even_placement(self):
-        assert moe_layer_indices(tiny_config(n_layers=4, moe_placement="even")) == [0, 2]
 
     def test_forward_reports_half_the_layers(self):
         model = Model(tiny_config(n_layers=4))
@@ -150,7 +147,6 @@ class TestParamCount:
                           max_seq_len=int(rng.integers(4, 20)),
                           vocab_size=int(rng.integers(16, 200)),
                           n_experts=int(rng.integers(1, 5)),
-                          ffn_multiplier=int(rng.integers(1, 5)),
                           seed=seed)
         model = Model(cfg)
         enumerated = sum(p.data.size for p in model.named_parameters().values())

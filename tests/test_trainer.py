@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from moelab import trainer as trainer_mod
+from moelab.checkpoint import read_checkpoint, write_checkpoint
 from moelab.corpus import Document
-from moelab.errors import FormatError, ShapeError
+from moelab.errors import ConfigError, FormatError, ShapeError
 from moelab.model import ForwardOutput, Model, ModelConfig
 from moelab.moe import RoutingStats
 from moelab.tensor import Tensor
@@ -169,6 +171,54 @@ class TestTrainer:
         assert out[len(prompt):] == doc_ids[3:8]
 
 
+class TestNonFinite:
+    @staticmethod
+    def _trainer(word_tokenizer):
+        model = Model(tiny_config(seed=4))
+        tr = Trainer(model, word_docs(), word_tokenizer,
+                     LrSchedule.for_total_steps(1e-3, 10), batch_size=2, seed=4)
+        tr.run(2)  # non-zero moments, so "unchanged" is a real check
+        return tr
+
+    @staticmethod
+    def _snapshot(tr):
+        return ([p.data.copy() for p in tr.params.values()],
+                [m.copy() for m in tr.adam.m.values()], [v.copy() for v in tr.adam.v.values()],
+                tr.adam.step)
+
+    def _assert_unchanged(self, tr, before):
+        after = self._snapshot(tr)
+        for old, new in zip(before[:3], after[:3]):
+            assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(old, new))
+        assert before[3] == after[3]
+
+    def test_nan_weight_stops_the_step(self, word_tokenizer):
+        tr = self._trainer(word_tokenizer)
+        tr.model.layers[0].attn.wq.data[0, 0] = np.nan
+        before = self._snapshot(tr)
+        with pytest.raises(FloatingPointError, match="step 2: total loss is nan"):
+            tr.run(1)
+        self._assert_unchanged(tr, before)
+        assert tr.step == 2
+
+    def test_nan_gradient_names_first_parameter(self, word_tokenizer, monkeypatch):
+        tr = self._trainer(word_tokenizer)
+        real_clip = trainer_mod.clip_global_norm
+
+        def poisoned_clip(params, max_norm):
+            params["layers.1.moe.gate"].grad[0, 0] = np.nan
+            params["lnf.gain"].grad[0] = np.inf
+            return real_clip(params, max_norm)
+
+        monkeypatch.setattr(trainer_mod, "clip_global_norm", poisoned_clip)
+        before = self._snapshot(tr)
+        with pytest.raises(FloatingPointError,
+                           match="step 2: gradient norm is nan, .*'layers.1.moe.gate'"):
+            tr.run(1)
+        self._assert_unchanged(tr, before)
+        assert all(p.grad is None for p in tr.params.values())
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise_and_byte_identical(self, tmp_path, word_tokenizer):
         model = Model(tiny_config(seed=21))
@@ -180,6 +230,83 @@ class TestCheckpoint:
             assert np.array_equal(p.data, loaded.named_parameters()[name].data), name
         save_checkpoint(loaded, path2)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        # the same weights handed to the constructor directly
+        weights = {n: p.data for n, p in model.named_parameters().items()}
+        direct = Model(tiny_config(seed=99), weights)
+        assert list(direct.named_parameters()) == list(weights)
+        for name, p in direct.named_parameters().items():
+            assert np.array_equal(p.data, weights[name]) and p.data is not weights[name], name
+
+    def test_float32_weights_load_as_float64(self):
+        model = Model(tiny_config(seed=22))
+        weights = {n: p.data.astype(np.float32) for n, p in model.named_parameters().items()}
+        loaded = Model(tiny_config(), weights)
+        for name, p in loaded.named_parameters().items():
+            assert p.data.dtype == np.float64
+            assert np.array_equal(p.data, weights[name].astype(np.float64)), name
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.ckpt")
+        model = Model(tiny_config(seed=23))
+        save_checkpoint(model, path)
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"random draw {name!r} during checkpoint load")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+        loaded, _ = load_checkpoint(path)
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(p.data, loaded.named_parameters()[name].data), name
+
+    @staticmethod
+    def _rewrite(path, edit):
+        header, tensors = read_checkpoint(path)
+        edit(header, tensors)
+        write_checkpoint(path, header, tensors)
+
+    def test_missing_parameter_tensor_rejected(self, tmp_path):
+        path = str(tmp_path / "missing.ckpt")
+        save_checkpoint(Model(tiny_config()), path)
+        self._rewrite(path, lambda header, tensors: tensors.pop("layers.1.moe.experts.1.b2"))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert path in str(exc.value) and "'layers.1.moe.experts.1.b2'" in str(exc.value)
+
+    def test_wrongly_shaped_tensor_rejected(self, tmp_path):
+        path = str(tmp_path / "shape.ckpt")
+        save_checkpoint(Model(tiny_config()), path)
+
+        def shrink(header, tensors):
+            tensors["layers.0.attn.wk"] = tensors["layers.0.attn.wk"][:, :15].copy()
+
+        self._rewrite(path, shrink)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        message = str(exc.value)
+        assert path in message and "'layers.0.attn.wk'" in message
+        assert "(16, 15)" in message and "(16, 16)" in message
+
+    def test_removed_config_field_in_header_rejected(self, tmp_path):
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(Model(tiny_config()), path)
+        self._rewrite(path, lambda header, tensors: header["model"].update(gelu_variant="exact"))
+        with pytest.raises(ConfigError, match="unknown config fields: \\['gelu_variant'\\]"):
+            load_checkpoint(path)
+
+    def test_resume_ignores_old_adam_keys(self, tmp_path, word_tokenizer):
+        docs = word_docs(seed=3)
+        sched = LrSchedule.for_total_steps(2e-3, 10)
+        tr = Trainer(Model(tiny_config(seed=32)), docs, word_tokenizer, sched,
+                     batch_size=2, seed=32)
+        tr.run(2)
+        path = str(tmp_path / "adam.ckpt")
+        save_checkpoint(tr.model, path, tr)
+        self._rewrite(path, lambda header, tensors: header["state"]["adam"].update(
+            lr=2e-3, beta1=0.9, beta2=0.999, eps=1e-8))
+        resumed = Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2)
+        assert resumed.adam.step == 2
+        assert [r.total_loss for r in resumed.run(1)] == [r.total_loss for r in tr.run(1)]
 
     def test_resume_matches_unbroken_run(self, tmp_path, word_tokenizer):
         docs = word_docs(seed=3)
