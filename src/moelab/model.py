@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, ShapeError
 from .moe import FeedForward, MoeLayer, RoutingStats, ffn_forward, moe_forward
-from .tensor import Tensor, embedding, layer_norm, no_grad, softmax
+from .tensor import Tensor, embedding, grad_enabled, layer_norm, no_grad, softmax
 
 INIT_STD = 0.02
 FFN_MULTIPLIER = 4  # feed-forward hidden width, in units of d_model
@@ -159,6 +159,23 @@ class ForwardOutput:
     balance_losses: list[Tensor] = field(default_factory=list)
 
 
+class KVCache:
+    """The attention keys and values of the positions a model has already seen.
+
+    keys[i] and values[i] are preallocated (batch, n_heads, max_seq_len,
+    head width) buffers for layer i. Rows 0..length-1 hold the projected K/V
+    of positions 0..length-1 of each sequence in the batch; later rows are
+    unused. Model.forward(tokens, cache) writes the rows of its new positions
+    and then advances length. The arrays carry no gradient.
+    """
+
+    def __init__(self, config: ModelConfig, batch: int):
+        shape = (batch, config.n_heads, config.max_seq_len, config.d_model // config.n_heads)
+        self.keys = [np.zeros(shape) for _ in range(config.n_layers)]
+        self.values = [np.zeros(shape) for _ in range(config.n_layers)]
+        self.length = 0
+
+
 class Model:
     """Decoder-only language model with seed-determined N(0, 0.02) weights and zero biases.
 
@@ -234,38 +251,65 @@ class Model:
 
     # -- forward -----------------------------------------------------------------
 
-    def forward(self, tokens) -> ForwardOutput:
-        """Causal forward pass over one sequence (T,) or a batch (B, T).
+    def forward(self, tokens, cache: KVCache | None = None) -> ForwardOutput:
+        """Causal forward pass over one sequence (T,) or a batch (B, T) of integer ids.
 
-        Logits at position t depend only on tokens at positions <= t. MoE
-        statistics aggregate over all tokens of the call.
+        Without a cache the T tokens are positions 0..T-1. With a cache that
+        holds s positions they are positions s..s+T-1: each attention layer
+        writes their keys and values into cache rows s..s+T-1 and attends over
+        rows 0..s+T-1, and the cache's length becomes s+T after the last
+        layer. Logits and MoE statistics cover the T new positions only.
+
+        A cached forward must run under no_grad() (cached K/V are plain
+        arrays, so gradients would stop at them), with a cache built for this
+        model's layers, width, heads and batch size, and with s+T <=
+        max_seq_len; all of this is checked before any cache row is written.
+        Logits at position p depend only on tokens at positions <= p.
         """
         ids = np.asarray(tokens)
+        if ids.ndim not in (1, 2):
+            raise ValueError(f"tokens must be a sequence or batch of sequences, got shape {ids.shape}")
+        if ids.size == 0:
+            raise ValueError("empty token sequence")
+        if ids.dtype.kind not in "iu":
+            raise ValueError(f"token ids must be integers, got {ids.dtype}: "
+                             f"position 0 holds {ids.flat[0]!r}")
+        cfg = self.config
+        bad = (ids < 0) | (ids >= cfg.vocab_size)
+        if bad.any():
+            pos = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"token id {ids[pos]} at position {pos[0] if ids.ndim == 1 else pos} "
+                             f"outside [0, {cfg.vocab_size})")
         squeeze = ids.ndim == 1
         if squeeze:
             ids = ids[None, :]
-        if ids.ndim != 2:
-            raise ValueError(f"tokens must be a sequence or batch of sequences, got shape {ids.shape}")
         b, t = ids.shape
-        if t == 0:
-            raise ValueError("empty token sequence")
-        if t > self.config.max_seq_len:
-            raise ValueError(f"sequence length {t} exceeds max_seq_len {self.config.max_seq_len}")
-        if ids.min() < 0 or ids.max() >= self.config.vocab_size:
-            raise ValueError(
-                f"token id outside [0, {self.config.vocab_size}): min={ids.min()}, max={ids.max()}")
-
-        cfg = self.config
         d = cfg.d_model
         n_heads = cfg.n_heads
         head = d // n_heads
-        scale = 1.0 / np.sqrt(head)
-        mask = np.triu(np.full((t, t), MASKED_SCORE), k=1)
+        s = 0
+        if cache is not None:
+            if grad_enabled():
+                raise RuntimeError("a cached forward must run under no_grad(): "
+                                   "cached keys and values carry no gradient")
+            shape = (b, n_heads, cfg.max_seq_len, head)
+            if len(cache.keys) != cfg.n_layers or cache.keys[0].shape != shape:
+                raise ShapeError(
+                    f"cache holds {len(cache.keys)} layers of shape {cache.keys[0].shape}, this "
+                    f"call needs {cfg.n_layers} layers of shape {shape} "
+                    f"(batch, heads, max_seq_len, head width)")
+            s = cache.length
+        if s + t > cfg.max_seq_len:
+            held = f"cache length {s} + " if cache is not None else ""
+            raise ValueError(f"{held}sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
 
-        x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(t))
+        scale = 1.0 / np.sqrt(head)
+        mask = np.triu(np.full((t, s + t), MASKED_SCORE), k=s + 1)
+
+        x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(s, s + t))
         stats: list[RoutingStats] = []
         balances: list[Tensor] = []
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             h = layer_norm(x, layer.ln1_gain, layer.ln1_bias, LN_EPS)
             a = layer.attn
 
@@ -275,6 +319,11 @@ class Model:
             q = split(h @ a.wq + a.bq)
             k = split(h @ a.wk + a.bk)
             v = split(h @ a.wv + a.bv)
+            if cache is not None:
+                cache.keys[i][:, :, s:s + t] = k.data
+                cache.values[i][:, :, s:s + t] = v.data
+                k = Tensor(cache.keys[i][:, :, :s + t])
+                v = Tensor(cache.values[i][:, :, :s + t])
             scores = (q @ k.transpose((0, 1, 3, 2))) * scale + mask
             ctx = softmax(scores, axis=-1) @ v
             ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, t, d)
@@ -288,6 +337,8 @@ class Model:
                 balances.append(balance)
             else:
                 x = x + ffn_forward(h, layer.ffn)
+        if cache is not None:
+            cache.length = s + t
 
         x = layer_norm(x, self.lnf_gain, self.lnf_bias, LN_EPS)
         logits = x @ self.tok_emb.transpose()
@@ -298,8 +349,24 @@ class Model:
 
 def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float = 0.0,
              seed: int = 0) -> list[int]:
-    """Autoregressive sampling; temperature 0 is greedy argmax."""
-    ids = [int(i) for i in prompt_ids]
+    """Autoregressive sampling; temperature 0 is greedy argmax.
+
+    The prompt must be a non-empty sequence of integer ids in [0, vocab_size);
+    otherwise ValueError names the first bad position, before any forward.
+    One forward over the prompt fills a KVCache; each later step feeds only
+    the token just chosen, at the next position. Every position is computed
+    once: len(prompt) + max_new_tokens - 1 positions for max_new_tokens >= 1.
+    """
+    ids = list(prompt_ids)
+    vocab = model.config.vocab_size
+    for i, x in enumerate(ids):
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"prompt id at position {i} is not an integer: {x!r}")
+        if not 0 <= x < vocab:
+            raise ValueError(f"prompt id {x} at position {i} outside [0, {vocab})")
+    if not ids:
+        raise ValueError("empty prompt")
+    ids = [int(x) for x in ids]
     if max_new_tokens < 0:
         raise ValueError(f"max_new_tokens must be non-negative, got {max_new_tokens}")
     if len(ids) + max_new_tokens > model.config.max_seq_len:
@@ -309,17 +376,19 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
     if temperature < 0:
         raise ValueError(f"temperature must be non-negative, got {temperature}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_new_tokens):
-        with no_grad():
-            out = model.forward(np.asarray(ids))
-        last = out.logits.data[-1]
-        if temperature == 0.0:
-            nxt = int(last.argmax())
-        else:
-            z = last / temperature
-            z -= z.max()
-            p = np.exp(z)
-            p /= p.sum()
-            nxt = int(rng.choice(len(p), p=p))
-        ids.append(nxt)
+    cache = KVCache(model.config, batch=1)
+    step = np.asarray(ids)
+    with no_grad():
+        for _ in range(max_new_tokens):
+            last = model.forward(step, cache).logits.data[-1]
+            if temperature == 0.0:
+                nxt = int(last.argmax())
+            else:
+                z = last / temperature
+                z -= z.max()
+                p = np.exp(z)
+                p /= p.sum()
+                nxt = int(rng.choice(len(p), p=p))
+            ids.append(nxt)
+            step = np.asarray([nxt])
     return ids

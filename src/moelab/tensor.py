@@ -42,6 +42,11 @@ def no_grad():
         _grad_enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record the graph for backward (False inside no_grad())."""
+    return _grad_enabled
+
+
 def _checked(data: np.ndarray) -> np.ndarray:
     if _debug_checks and not np.isfinite(data).all():
         raise FloatingPointError("operation produced non-finite values")

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from moelab.errors import ConfigError
-from moelab.model import (Model, ModelConfig, desk_config, generate,
+from moelab import model as model_mod
+from moelab.errors import ConfigError, ShapeError
+from moelab.model import (KVCache, Model, ModelConfig, desk_config, generate,
                           moe_layer_indices, paper_config, param_count)
 from moelab.tensor import no_grad
 
@@ -123,8 +124,15 @@ class TestForward:
 
     def test_out_of_range_token_rejected(self):
         model = Model(tiny_config())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="token id 64 at position 1 "):
             model.forward(np.array([0, 64]))
+        with pytest.raises(ValueError, match=r"token id -1 at position \(1, 0\) "):
+            model.forward(np.array([[0, 1], [-1, 2]]))
+
+    def test_non_integer_tokens_rejected(self):
+        model = Model(tiny_config())
+        with pytest.raises(ValueError, match="must be integers, got float64: position 0 holds"):
+            model.forward(np.array([2.7, 3.2]))
 
 
 class TestParamCount:
@@ -184,3 +192,159 @@ class TestGenerate:
         model = Model(tiny_config(max_seq_len=8))
         with pytest.raises(ValueError):
             generate(model, [1, 2, 3, 4], 5)
+
+    @pytest.mark.parametrize("prompt, message", [
+        ([2.7, 3.2], "position 0 is not an integer: 2.7"),
+        ([1, 2.0], "position 1 is not an integer: 2.0"),
+        ([1, True], "position 1 is not an integer: True"),
+        ([5, "6"], "position 1 is not an integer: '6'"),
+        ([1, 64], r"prompt id 64 at position 1 outside \[0, 64\)"),
+        ([-1, 3], r"prompt id -1 at position 0 outside \[0, 64\)"),
+        ([], "empty prompt"),
+    ])
+    @pytest.mark.parametrize("new_tokens", [0, 2])
+    def test_bad_prompt_rejected_before_any_forward(self, prompt, message, new_tokens,
+                                                    monkeypatch):
+        model = Model(tiny_config())
+        calls = []
+        monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=message):
+            generate(model, prompt, new_tokens)
+        assert calls == []
+
+    def test_numpy_integer_prompt_accepted(self):
+        model = Model(tiny_config(seed=6))
+        prompt = np.array([5, 6], dtype=np.int32)
+        assert generate(model, prompt, 4) == generate(model, [5, 6], 4)
+
+    @pytest.mark.parametrize("prompt_len, new_tokens", [(1, 1), (2, 6), (5, 11)])
+    def test_each_position_computed_once(self, prompt_len, new_tokens, monkeypatch):
+        # Counts work, not time: re-running the prefix for each new token
+        # would pass far more positions than the prompt plus the fed-back tokens.
+        model = Model(tiny_config(seed=6))
+        positions = []
+        forward = Model.forward
+
+        def counting(self, tokens, *args, **kwargs):
+            positions.append(np.asarray(tokens).size)
+            return forward(self, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", counting)
+        out = generate(model, list(range(1, prompt_len + 1)), new_tokens)
+        assert len(out) == prompt_len + new_tokens
+        assert sum(positions) == prompt_len + new_tokens - 1
+        assert positions == [prompt_len] + [1] * (new_tokens - 1)
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    @pytest.mark.parametrize("config", [tiny_config(seed=6), desk_config(seed=2)],
+                             ids=["tiny", "desk"])
+    def test_matches_full_forward_reference(self, config, temperature):
+        """generate equals the loop it replaced, which re-runs forward on the whole prefix."""
+        model = Model(config)
+        prompt, new_tokens = [3, 1, 4, 1, 5], config.max_seq_len - 5
+        rng = np.random.default_rng(11)
+        ids = list(prompt)
+        for _ in range(new_tokens):
+            with no_grad():
+                last = model.forward(np.asarray(ids)).logits.data[-1]
+            if temperature == 0.0:
+                ids.append(int(last.argmax()))
+            else:
+                p = np.exp(last / temperature - (last / temperature).max())
+                ids.append(int(rng.choice(len(p), p=p / p.sum())))
+        assert generate(model, prompt, new_tokens, temperature=temperature, seed=11) == ids
+
+
+def decode_in_steps(model, tokens, prefill):
+    """Logits and per-MoE-layer selections of `tokens`, fed through a KVCache.
+
+    The first `prefill` positions go in one call, then one position per call.
+    """
+    batched = tokens.ndim == 2
+    cache = KVCache(model.config, batch=tokens.shape[0] if batched else 1)
+    bounds = [0] + list(range(prefill, tokens.shape[-1] + 1))
+    logits, selected = [], []
+    with no_grad():
+        for start, end in zip(bounds, bounds[1:]):
+            out = model.forward(tokens[..., start:end], cache)
+            assert cache.length == end
+            logits.append(out.logits.data)
+            selected.append([st.selected.reshape(-1, end - start) for st in out.moe_stats])
+    return (np.concatenate(logits, axis=-2),
+            [np.concatenate(layer, axis=1) for layer in zip(*selected)])
+
+
+class TestKVCache:
+    @pytest.mark.parametrize("prefill", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("config", [tiny_config(seed=3), desk_config(seed=1)],
+                             ids=["tiny", "desk"])
+    def test_cached_decode_matches_full_forward(self, config, batch, prefill):
+        model = Model(config)
+        rng = np.random.default_rng(batch * 10 + prefill)
+        shape = (config.max_seq_len,) if batch == 1 else (batch, config.max_seq_len)
+        tokens = rng.integers(0, config.vocab_size, size=shape)
+        cached, cached_selected = decode_in_steps(model, tokens, prefill)
+        with no_grad():
+            full = model.forward(tokens)
+        assert cached.shape == full.logits.shape
+        assert np.max(np.abs(cached - full.logits.data)) <= 1e-12
+        assert len(cached_selected) == len(full.moe_stats) == config.n_layers // 2
+        for mine, ref in zip(cached_selected, full.moe_stats):
+            assert np.array_equal(mine, ref.selected.reshape(-1, config.max_seq_len))
+
+    @staticmethod
+    def prefilled(config, batch=1, length=3):
+        model = Model(config)
+        cache = KVCache(config, batch)
+        with no_grad():
+            model.forward(np.arange(batch * length).reshape(batch, length) % 7, cache)
+        return model, cache, [a.copy() for a in cache.keys + cache.values]
+
+    @staticmethod
+    def assert_untouched(cache, length, snapshot):
+        assert cache.length == length
+        assert all(np.array_equal(a, b) for a, b in zip(cache.keys + cache.values, snapshot))
+
+    def test_gradients_enabled_rejected(self):
+        model, cache, snapshot = self.prefilled(tiny_config())
+        with pytest.raises(RuntimeError, match="no_grad"):
+            model.forward(np.array([[1]]), cache)
+        self.assert_untouched(cache, 3, snapshot)
+
+    def test_overflow_names_cache_length_and_new_positions(self):
+        model, cache, snapshot = self.prefilled(tiny_config(), length=14)
+        with no_grad(), pytest.raises(
+                ValueError, match="cache length 14 \\+ sequence length 3 exceeds max_seq_len 16"):
+            model.forward(np.array([[1, 2, 3]]), cache)
+        self.assert_untouched(cache, 14, snapshot)
+        with no_grad():
+            model.forward(np.array([[1, 2]]), cache)
+        assert cache.length == 16
+
+    @pytest.mark.parametrize("overrides, batch", [(dict(n_layers=4), 1), (dict(d_model=32), 1),
+                                                  (dict(n_heads=4), 1), ({}, 2)])
+    def test_cache_for_another_shape_rejected(self, overrides, batch):
+        _, cache, snapshot = self.prefilled(tiny_config(**overrides), batch=batch)
+        with no_grad(), pytest.raises(ShapeError, match="this call needs 2 layers of shape"):
+            Model(tiny_config()).forward(np.array([[1]]), cache)
+        self.assert_untouched(cache, 3, snapshot)
+
+    def test_failed_forward_leaves_length_and_cache_usable(self, monkeypatch):
+        cfg = tiny_config(seed=5)
+        model, cache, _ = self.prefilled(cfg)
+        moe_forward = model_mod.moe_forward
+
+        def failing(*args):
+            raise FloatingPointError("expert failed")
+
+        monkeypatch.setattr(model_mod, "moe_forward", failing)
+        with no_grad(), pytest.raises(FloatingPointError):
+            model.forward(np.array([[9, 9]]), cache)  # layer 0 writes rows 3..4 first
+        assert cache.length == 3
+        monkeypatch.setattr(model_mod, "moe_forward", moe_forward)
+        with no_grad():
+            resumed = model.forward(np.array([[4, 8]]), cache).logits.data
+            full = model.forward(np.array([[0, 1, 2, 4, 8]])).logits.data
+        assert cache.length == 5
+        assert np.max(np.abs(resumed - full[:, 3:])) <= 1e-12
