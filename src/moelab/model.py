@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .moe import FeedForward, MoeLayer, RoutingStats, ffn_forward, moe_forward
-from .tensor import Tensor, embedding, grad_enabled, layer_norm, no_grad, softmax
+from .tensor import Tensor, embedding, grad_enabled, layer_norm, linear, no_grad, softmax
 
 INIT_STD = 0.02
 FFN_MULTIPLIER = 4  # feed-forward hidden width, in units of d_model
@@ -162,15 +162,17 @@ class ForwardOutput:
 class KVCache:
     """The attention keys and values of the positions a model has already seen.
 
-    keys[i] and values[i] are preallocated (batch, n_heads, max_seq_len,
+    keys[i] and values[i] are preallocated (batch, max_seq_len, n_heads,
     head width) buffers for layer i. Rows 0..length-1 hold the projected K/V
     of positions 0..length-1 of each sequence in the batch; later rows are
-    unused. Model.forward(tokens, cache) writes the rows of its new positions
-    and then advances length. The arrays carry no gradient.
+    unused. A prefix of rows reads as (batch, rows, d_model) without a copy,
+    the layout attention() takes. Model.forward(tokens, cache) writes the rows
+    of its new positions and then advances length. The arrays carry no
+    gradient.
     """
 
     def __init__(self, config: ModelConfig, batch: int):
-        shape = (batch, config.n_heads, config.max_seq_len, config.d_model // config.n_heads)
+        shape = (batch, config.max_seq_len, config.n_heads, config.d_model // config.n_heads)
         self.keys = [np.zeros(shape) for _ in range(config.n_layers)]
         self.values = [np.zeros(shape) for _ in range(config.n_layers)]
         self.length = 0
@@ -292,19 +294,16 @@ class Model:
             if grad_enabled():
                 raise RuntimeError("a cached forward must run under no_grad(): "
                                    "cached keys and values carry no gradient")
-            shape = (b, n_heads, cfg.max_seq_len, head)
+            shape = (b, cfg.max_seq_len, n_heads, head)
             if len(cache.keys) != cfg.n_layers or cache.keys[0].shape != shape:
                 raise ShapeError(
                     f"cache holds {len(cache.keys)} layers of shape {cache.keys[0].shape}, this "
                     f"call needs {cfg.n_layers} layers of shape {shape} "
-                    f"(batch, heads, max_seq_len, head width)")
+                    f"(batch, max_seq_len, heads, head width)")
             s = cache.length
         if s + t > cfg.max_seq_len:
             held = f"cache length {s} + " if cache is not None else ""
             raise ValueError(f"{held}sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
-
-        scale = 1.0 / np.sqrt(head)
-        mask = np.triu(np.full((t, s + t), MASKED_SCORE), k=s + 1)
 
         x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(s, s + t))
         stats: list[RoutingStats] = []
@@ -312,22 +311,15 @@ class Model:
         for i, layer in enumerate(self.layers):
             h = layer_norm(x, layer.ln1_gain, layer.ln1_bias, LN_EPS)
             a = layer.attn
-
-            def split(m: Tensor) -> Tensor:
-                return m.reshape(b, t, n_heads, head).transpose((0, 2, 1, 3))
-
-            q = split(h @ a.wq + a.bq)
-            k = split(h @ a.wk + a.bk)
-            v = split(h @ a.wv + a.bv)
+            q = linear(h, a.wq, a.bq)
+            k = linear(h, a.wk, a.bk)
+            v = linear(h, a.wv, a.bv)
             if cache is not None:
-                cache.keys[i][:, :, s:s + t] = k.data
-                cache.values[i][:, :, s:s + t] = v.data
-                k = Tensor(cache.keys[i][:, :, :s + t])
-                v = Tensor(cache.values[i][:, :, :s + t])
-            scores = (q @ k.transpose((0, 1, 3, 2))) * scale + mask
-            ctx = softmax(scores, axis=-1) @ v
-            ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, t, d)
-            x = x + (ctx @ a.wo + a.bo)
+                cache.keys[i][:, s:s + t] = k.data.reshape(b, t, n_heads, head)
+                cache.values[i][:, s:s + t] = v.data.reshape(b, t, n_heads, head)
+                k = Tensor(cache.keys[i][:, :s + t].reshape(b, s + t, d))
+                v = Tensor(cache.values[i][:, :s + t].reshape(b, s + t, d))
+            x = x + linear(attention(q, k, v, n_heads), a.wo, a.bo)
 
             h = layer_norm(x, layer.ln2_gain, layer.ln2_bias, LN_EPS)
             if layer.moe is not None:
@@ -345,6 +337,47 @@ class Model:
         if squeeze:
             logits = logits.reshape(t, cfg.vocab_size)
         return ForwardOutput(logits=logits, moe_stats=stats, balance_losses=balances)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Causal multi-head attention as one graph node.
+
+    q is (B, T, d); k and v are (B, S+T, d), and the T queries are the last T
+    of the S+T key positions: query i attends to keys 0..S+i (S is 0 without
+    a cache). The result is the (B, T, d) context with heads merged. Heads
+    are numpy views (B, n_heads, rows, d / n_heads) of the inputs, not graph
+    nodes, and the probabilities come from softmax(). Backward, with P the
+    probabilities, C the context per head and c = 1/sqrt(head width):
+    dV = P^T dC, dP = dC V^T, dS = P * (dP - rowsum(dP * P)) * c,
+    dQ = dS K, dK = dS^T Q.
+    """
+    b, t, d = q.shape
+    rows = k.shape[1]
+    head = d // n_heads
+
+    def split(m: np.ndarray) -> np.ndarray:
+        return m.reshape(b, m.shape[1], n_heads, head).transpose(0, 2, 1, 3)
+
+    def merge(m: np.ndarray) -> np.ndarray:
+        return m.transpose(0, 2, 1, 3).reshape(b, m.shape[2], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(head)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= scale
+    scores += np.triu(np.full((t, rows), MASKED_SCORE), k=rows - t + 1)
+    p = softmax(Tensor(scores), axis=-1).data
+
+    def bwd(g: np.ndarray) -> None:
+        gc = split(g)
+        v._accum(merge(p.swapaxes(-1, -2) @ gc))
+        gp = gc @ vh.swapaxes(-1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= scale
+        q._accum(merge(gs @ kh))
+        k._accum(merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)))
+
+    return Tensor._op(merge(p @ vh), (q, k, v), bwd)
 
 
 def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float = 0.0,

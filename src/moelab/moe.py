@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, as_tensor, concat, gelu, softmax
+from .tensor import Tensor, as_tensor, concat, gelu, linear, softmax
 
 
 @dataclass
@@ -38,7 +38,7 @@ class FeedForward:
 
 
 def ffn_forward(x: Tensor, ffn: FeedForward) -> Tensor:
-    return gelu(x @ ffn.w1 + ffn.b1) @ ffn.w2 + ffn.b2
+    return linear(gelu(linear(x, ffn.w1, ffn.b1)), ffn.w2, ffn.b2)
 
 
 @dataclass

@@ -5,6 +5,15 @@ walks the graph in reverse topological order and accumulates d(loss)/d(node)
 into .grad. Gradients add into existing .grad buffers until zero_grad() is
 called, so repeated backward passes require an explicit reset.
 
+Gradient ownership: a backward closure hands each parent an array that no
+other gradient holds (a freshly computed one, or a view of a part of the
+node's own gradient that no other parent gets; the node never reads it
+again), and _accum keeps that array as the parent's .grad without copying
+it. An op that hands one array to two parents (__add__) copies it for the
+second. So no two leaves' gradients share memory, and in-place updates of a
+leaf's .grad (clipping, the next +=) touch only that leaf. A non-leaf's
+.grad may change once its own backward has run, as its parents accumulate.
+
 All compute is 64-bit: the finite-difference gradient checks in grad_check()
 need the headroom.
 """
@@ -103,10 +112,18 @@ class Tensor:
         self.grad = None
 
     def _accum(self, g: np.ndarray) -> None:
+        """Add g into .grad, taking ownership of g when .grad is empty.
+
+        The caller hands over g: no other gradient may hold it and the caller
+        must not write it afterwards, because a later accumulation adds into
+        it in place. Only a non-float64, read-only or non-array g is copied.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # copy: callers may reuse g
+            owned = (isinstance(g, np.ndarray) and g.dtype == np.float64
+                     and g.flags.writeable)
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -154,8 +171,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g: np.ndarray) -> None:
-            a._accum(_unbroadcast(g, a.data.shape))
-            b._accum(_unbroadcast(g, b.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            a._accum(ga)
+            gb = _unbroadcast(g, b.data.shape)
+            b._accum(gb.copy() if gb is ga and a.requires_grad else gb)  # one owner per array
 
         return Tensor._op(a.data + b.data, (a, b), bwd)
 
@@ -209,6 +228,8 @@ class Tensor:
             raise ShapeError(f"matmul needs rank >= 2 operands, got {a.data.shape} @ {b.data.shape}")
         if a.data.shape[-1] != b.data.shape[-2]:
             raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+        if b.data.ndim == 2:
+            return linear(a, b)
 
         def bwd(g: np.ndarray) -> None:
             a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
@@ -291,6 +312,41 @@ def as_tensor(x) -> Tensor:
 # -- fused operations ---------------------------------------------------------
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) as one node, for x of shape (..., n_in) and w of shape (n_in, n_out).
+
+    All leading axes of x fold into the rows of one GEMM and the bias is added
+    in place. Backward: gx = g @ w^T, gw = x2^T @ g2 as one product over all
+    rows (x2, g2 are x and g with leading axes folded), gb = column sums of g2.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(
+            f"linear needs x (..., n) and w (n, m), got {x.data.shape} and {w.data.shape}")
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        if b.data.shape != (w.data.shape[1],):
+            raise ShapeError(
+                f"linear bias must have shape ({w.data.shape[1]},), got {b.data.shape}")
+        parents = (x, w, b)
+    x2 = x.data.reshape(-1, w.data.shape[0])
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
+
+    def bwd(g: np.ndarray) -> None:
+        g2 = g.reshape(-1, w.data.shape[1])
+        if x.requires_grad:
+            x._accum((g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w._accum(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accum(g2.sum(axis=0))
+
+    return Tensor._op(out.reshape(x.data.shape[:-1] + (w.data.shape[1],)), parents, bwd)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit, x * CDF(x), with the exact Gaussian CDF."""
     x = as_tensor(x)
@@ -308,9 +364,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     if x.data.size == 0:
         raise ValueError("softmax of empty input")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
         inner = (g * p).sum(axis=axis, keepdims=True)

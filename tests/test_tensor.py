@@ -1,14 +1,16 @@
 """Tensor engine: op-level oracles plus finite-difference gradient checks."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from moelab.errors import ShapeError
+from moelab.model import attention
 from moelab.optim import AdamState, adam_step, clip_global_norm
 from moelab.tensor import (Tensor, concat, cross_entropy, embedding, gelu, grad_check,
-                           layer_norm, no_grad, set_debug_checks, softmax)
+                           layer_norm, linear, no_grad, set_debug_checks, softmax)
 
 
 def matmul_oracle(a, b):
@@ -273,6 +275,115 @@ def test_reshape_transpose_gradients():
         return (x.transpose((1, 0, 2)).reshape(3, 8) ** 2).sum()
 
     assert grad_check(loss, [x], h=1e-5, samples=12, seed=0) < 1e-6
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=["2d", "3d"])
+def test_linear_matches_matmul_plus_bias_and_finite_differences(lead):
+    rng = np.random.default_rng(len(lead))
+    x = Tensor(rng.normal(size=lead + (4,)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    assert np.array_equal(linear(x, w, b).data, x.data @ w.data + b.data)
+
+    def loss():
+        return (linear(x, w, b) ** 2).sum()
+
+    assert grad_check(loss, [x, w, b], h=1e-5, samples=30, seed=0) < 1e-4
+
+
+def test_linear_shape_errors_name_the_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\) and \(4, 2\)"):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+    with pytest.raises(ShapeError, match=r"\(2,\), got \(3,\)"):
+        linear(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))), Tensor(np.ones(3)))
+
+
+def test_matmul_3d_by_2d_gradients():
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+
+    def loss():
+        return ((a @ b) ** 2).sum()
+
+    assert grad_check(loss, [a, b], h=1e-5, samples=30, seed=1) < 1e-4
+
+
+def attention_reference(q, k, v, n_heads):
+    """Per batch row and head loops with the causal rule written out: query i
+    sees key j iff j <= past + i, where past = key rows - query rows."""
+    b, t, d = q.shape
+    rows, head = k.shape[1], d // n_heads
+    out = np.zeros((b, t, d))
+    for n in range(b):
+        for h in range(n_heads):
+            cols = slice(h * head, (h + 1) * head)
+            for i in range(t):
+                seen = rows - t + i + 1
+                s = k[n, :seen, cols] @ q[n, i, cols] / math.sqrt(head)
+                p = np.exp(s - s.max())
+                out[n, i, cols] = (p / p.sum()) @ v[n, :seen, cols]
+    return out
+
+
+@pytest.mark.parametrize("past", [0, 3], ids=["causal", "offset"])
+def test_attention_matches_reference_and_finite_differences(past):
+    rng = np.random.default_rng(50 + past)
+    b, t, d, n_heads = 2, 3, 4, 2
+    q = Tensor(rng.normal(size=(b, t, d)), requires_grad=True)
+    k = Tensor(rng.normal(size=(b, past + t, d)), requires_grad=True)
+    v = Tensor(rng.normal(size=(b, past + t, d)), requires_grad=True)
+    weights = rng.normal(size=(b, t, d))
+    out = attention(q, k, v, n_heads)
+    assert np.max(np.abs(out.data - attention_reference(q.data, k.data, v.data, n_heads))) < 1e-12
+
+    def loss():
+        return (attention(q, k, v, n_heads) * weights).sum()
+
+    assert grad_check(loss, [q, k, v], h=1e-5, samples=45, seed=past) < 1e-4
+
+
+TIED_IDS, TIED_TARGETS = np.array([1, 4, 1]), np.array([0, 2, 3])
+
+# name: (shape of each leaf, the leaf behind each use, loss over the uses)
+REUSE_CASES = {
+    "add": ([(3, 3), (3, 3)], [0, 0, 0, 1], lambda u: ((u[0] + u[1]) * (u[2] + u[3])).sum()),
+    "matmul_both_operands": ([(3, 3), (3, 3)], [0, 0, 1],
+                             lambda u: ((u[0] @ u[1]) * u[2]).sum()),
+    "tied_embedding": ([(5, 3), (5,)], [0, 0, 1],
+                       lambda u: cross_entropy(embedding(u[0], TIED_IDS) @ u[1].transpose()
+                                               + u[2], TIED_TARGETS)),
+    "concat_parts": ([(2, 3), (3, 3)], [0, 1, 0],
+                     lambda u: (concat([u[0], u[1], u[2]]) ** 2).sum()),
+    "attention_shared_projection": ([(1, 3, 4), (1, 3, 4)], [0, 0, 0, 1],
+                                    lambda u: (attention(u[0], u[1], u[2], 2) * u[3]).sum()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_reused_tensor_gradients_are_owned(case):
+    """_accum keeps the arrays backward hands it, so a tensor used twice must
+    still get the sum of its uses, in memory no other leaf shares."""
+    shapes, leaf_of, loss = REUSE_CASES[case]
+    rng = np.random.default_rng(3)
+    data = [rng.normal(size=shape) for shape in shapes]
+    separate = [Tensor(data[i].copy(), requires_grad=True) for i in leaf_of]
+    loss(separate).backward()
+    reference = [sum(u.grad for u, i in zip(separate, leaf_of) if i == j)
+                 for j in range(len(data))]
+
+    def close(got, want):  # the order of a leaf's partial sums may differ by an ulp
+        return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
+
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in data]
+    loss([leaves[i] for i in leaf_of]).backward()
+    assert all(close(leaf.grad, ref) for leaf, ref in zip(leaves, reference))
+    for a, b in combinations(leaves, 2):
+        assert not np.shares_memory(a.grad, b.grad)
+
+    first = [leaf.grad.copy() for leaf in leaves]
+    loss([leaves[i] for i in leaf_of]).backward()
+    assert all(close(leaf.grad, 2 * once) for leaf, once in zip(leaves, first))
 
 
 class TestGradCheck:

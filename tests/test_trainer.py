@@ -9,7 +9,7 @@ from moelab.corpus import Document
 from moelab.errors import ConfigError, FormatError, ShapeError
 from moelab.model import ForwardOutput, Model, ModelConfig
 from moelab.moe import RoutingStats
-from moelab.tensor import Tensor
+from moelab.tensor import Tensor, grad_check
 from moelab.tokenizer import Tokenizer
 from moelab.trainer import (LrSchedule, Trainer, load_checkpoint, lr_at_step,
                             save_checkpoint, total_loss)
@@ -77,6 +77,56 @@ class TestTotalLoss:
         got.node.backward()
         gate_grad = model.layers[1].moe.gate_weight.grad
         assert gate_grad is not None and np.abs(gate_grad).max() > 0
+
+    def test_whole_model_gradients_match_finite_differences(self):
+        model = Model(tiny_config(vocab_size=64, seed=4))
+        rng = np.random.default_rng(4)
+        # N(0, 0.3) weights and gains near 1: at the 0.02 init many gradients
+        # sit near the finite-difference noise floor.
+        for name, p in model.named_parameters().items():
+            p.data[...] = rng.normal(0.0, 0.3, size=p.data.shape)
+            if "gain" in name:
+                p.data += 1.0
+        batch = rng.integers(0, 64, size=(2, 7))
+        params = model.named_parameters()
+        checked = ["layers.0.attn.wq", "layers.0.attn.wk", "layers.1.attn.wv",
+                   "layers.1.attn.wo", "layers.0.attn.bq", "layers.1.attn.bo", "tok_emb",
+                   "pos_emb", "layers.0.ln1.gain", "layers.1.ln2.bias", "lnf.gain",
+                   "layers.1.moe.gate"]
+
+        def loss():
+            return total_loss(model.forward(batch[:, :-1]), batch[:, 1:], alpha=0.5).node
+
+        assert grad_check(loss, [params[n] for n in checked], h=1e-5, samples=72, seed=0) < 1e-4
+
+    def test_train_graph_node_count(self):
+        """Timing-free guard on the train step's graph: each projection is one
+        linear node and each attention one node, so per-op fallbacks add nodes."""
+        model = Model(tiny_config())
+        batch = np.random.default_rng(0).integers(0, 512, size=(2, 9))
+        out = model.forward(batch[:, :-1])
+        root = total_loss(out, batch[:, 1:], alpha=0.01).node
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert [int((s.token_fraction > 0).sum()) for s in out.moe_stats] == [2]
+        ops = {
+            "token and position lookups, their sum": 3,
+            "2 layers: ln1, q, k, v, attention, out projection, residual": 2 * 7,
+            "dense block: ln2, linear, gelu, linear, residual": 5,
+            "MoE block: ln2, reshape, gate transpose and linear, softmax, concat, "
+            "unpermute, probability pick, scale, reshape, residual": 11,
+            "2 active experts: row pick, linear, gelu, linear": 2 * 4,
+            "balance loss: mean (sum, scale), p * f, sum, * N": 5,
+            "head: lnf, tok_emb transpose, logits linear, reshape, cross-entropy": 5,
+            "alpha * balance, lm + moe": 2,
+        }
+        constants = 4  # mean's 1/T, f, N and alpha
+        params = model.named_parameters()  # all 41 are on the loss path
+        assert len(seen) == len(params) + constants + sum(ops.values())
 
 
 class TestLrSchedule:
