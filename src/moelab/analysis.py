@@ -1,7 +1,10 @@
 """Expert-routing analysis: per-language activation vectors, distances, correlation.
 
 For each language we count how many tokens each (MoE layer, expert) slot
-received, giving one non-negative vector per language. Distances between
+received, giving one non-negative vector per language. The counts come from
+routing passes, Model.forward(..., logits=False), which stop after the last
+MoE layer: no pass runs the final layer norm or builds the (positions x
+vocab_size) logits array, since nothing here reads it. Distances between
 unit-normalized vectors, divided by sqrt(2), land in [0, 1] and can be
 compared against reference language-distance matrices (family trees,
 synthetic ground truth) via Pearson correlation over the strict upper
@@ -17,6 +20,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .fileio import atomic_write_text
+from .model import moe_layer_indices
 from .tensor import no_grad
 
 CHUNK = 16  # sequences per no-grad forward pass in collect_activations
@@ -74,11 +78,14 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
                         seed: int, languages: list[str] | None = None) -> list[ActivationVector]:
     """Count routed tokens per (layer, expert) slot for each language.
 
-    Runs forward passes only: no parameter is touched. Deterministic for a
-    given seed; each language draws from its own substream.
+    Runs routing passes only: no parameter is touched. Deterministic for a
+    given seed; each language draws from its own substream. A
+    sequences_per_lang below 1 raises ValueError before any encode or forward.
     """
     from .corpus import pack_sequences
 
+    if sequences_per_lang < 1:
+        raise ValueError(f"sequences_per_lang must be at least 1, got {sequences_per_lang}")
     present = sorted({d.lang for d in docs})
     if languages is None:
         languages = present
@@ -86,18 +93,17 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
         if lang not in present:
             raise ValueError(f"language {lang!r} not present in corpus")
     n_experts = model.config.n_experts
+    n_slots = len(moe_layer_indices(model.config)) * n_experts
     vectors = []
     for lang in languages:
         rng = np.random.default_rng([seed, present.index(lang)])
         lang_docs = [d for d in docs if d.lang == lang]
         seqs = pack_sequences(lang_docs, sequences_per_lang, seq_len, tokenizer, rng)
         seqs = seqs[:, :seq_len]  # routing needs inputs only, no shifted targets
-        counts = None
+        counts = np.zeros(n_slots, dtype=np.int64)
         for start in range(0, len(seqs), CHUNK):
             with no_grad():
-                out = model.forward(seqs[start:start + CHUNK])
-            if counts is None:
-                counts = np.zeros(len(out.moe_stats) * n_experts, dtype=np.int64)
+                out = model.forward(seqs[start:start + CHUNK], logits=False)
             for layer, stats in enumerate(out.moe_stats):
                 counts[layer * n_experts:(layer + 1) * n_experts] += np.bincount(
                     stats.selected, minlength=n_experts)

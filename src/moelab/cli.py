@@ -192,9 +192,9 @@ def cmd_analyze_routing(args) -> int:
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
     docs, stats = corpus_mod.load_jsonl(args.corpus)
-    os.makedirs(args.out_dir, exist_ok=True)
     vectors = analysis.collect_activations(net, tok, docs, args.sequences_per_lang,
                                            net.config.max_seq_len, args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
     analysis.write_vectors_tsv(vectors, os.path.join(args.out_dir, "vectors.tsv"))
     analysis.write_matrix_tsv(analysis.distance_matrix(vectors),
                               os.path.join(args.out_dir, "distance.tsv"))

@@ -152,9 +152,12 @@ class DecoderLayer:
 
 @dataclass
 class ForwardOutput:
-    """Logits plus the per-MoE-layer routing snapshots and balance-loss nodes."""
+    """Logits plus the per-MoE-layer routing snapshots and balance-loss nodes.
 
-    logits: Tensor
+    logits is None after a routing pass, forward(tokens, logits=False).
+    """
+
+    logits: Tensor | None
     moe_stats: list[RoutingStats] = field(default_factory=list)
     balance_losses: list[Tensor] = field(default_factory=list)
 
@@ -253,7 +256,8 @@ class Model:
 
     # -- forward -----------------------------------------------------------------
 
-    def forward(self, tokens, cache: KVCache | None = None) -> ForwardOutput:
+    def forward(self, tokens, cache: KVCache | None = None, *,
+                logits: bool = True) -> ForwardOutput:
         """Causal forward pass over one sequence (T,) or a batch (B, T) of integer ids.
 
         Without a cache the T tokens are positions 0..T-1. With a cache that
@@ -267,6 +271,12 @@ class Model:
         model's layers, width, heads and batch size, and with s+T <=
         max_seq_len; all of this is checked before any cache row is written.
         Logits at position p depend only on tokens at positions <= p.
+
+        With logits=False the pass stops after the last layer, which is
+        always an MoE layer: it skips the final layer norm and the
+        (positions x vocab_size) projection and returns logits=None. Every
+        layer, and so every routing decision and balance loss, is computed
+        exactly as in the full pass.
         """
         ids = np.asarray(tokens)
         if ids.ndim not in (1, 2):
@@ -331,12 +341,14 @@ class Model:
                 x = x + ffn_forward(h, layer.ffn)
         if cache is not None:
             cache.length = s + t
+        if not logits:
+            return ForwardOutput(logits=None, moe_stats=stats, balance_losses=balances)
 
         x = layer_norm(x, self.lnf_gain, self.lnf_bias, LN_EPS)
-        logits = x @ self.tok_emb.transpose()
+        out = x @ self.tok_emb.transpose()
         if squeeze:
-            logits = logits.reshape(t, cfg.vocab_size)
-        return ForwardOutput(logits=logits, moe_stats=stats, balance_losses=balances)
+            out = out.reshape(t, cfg.vocab_size)
+        return ForwardOutput(logits=out, moe_stats=stats, balance_losses=balances)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:

@@ -71,6 +71,40 @@ class TestCollectActivations:
             assert va.lang == vb.lang
             assert np.array_equal(va.counts, vb.counts)
 
+    def test_counts_equal_full_forward_routing(self, tiny_setup, monkeypatch):
+        """Each routing pass's counts match the bincount of the full forward on its chunk."""
+        model, tok, docs, _ = tiny_setup
+        forward = model.forward
+        n = model.config.n_experts
+        from_full = []
+
+        def routing_pass_beside_full_forward(ids, *, logits=True):
+            assert not logits
+            full = forward(ids)
+            assert full.logits is not None
+            from_full.append(np.concatenate(
+                [np.bincount(s.selected, minlength=n) for s in full.moe_stats]))
+            return forward(ids, logits=False)
+
+        monkeypatch.setattr(model, "forward", routing_pass_beside_full_forward)
+        vectors = collect_activations(model, tok, docs, 20, 12, seed=4)
+        assert len(from_full) == 2 * len(vectors)  # 20 sequences: chunks of 16 and 4
+        for i, v in enumerate(vectors):
+            assert np.array_equal(v.counts, from_full[2 * i] + from_full[2 * i + 1])
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sequence_count_below_one_rejected_before_any_work(self, tiny_setup, n,
+                                                                monkeypatch):
+        model, tok, docs, _ = tiny_setup
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("called before the argument was checked")
+
+        monkeypatch.setattr(model, "forward", unreachable)
+        monkeypatch.setattr(tok, "encode", unreachable)
+        with pytest.raises(ValueError, match=rf"^sequences_per_lang must be at least 1, got {n}$"):
+            collect_activations(model, tok, docs, n, 12, seed=0)
+
     def test_missing_language_named(self, tiny_setup):
         model, tok, docs, _ = tiny_setup
         with pytest.raises(ValueError, match="zz"):

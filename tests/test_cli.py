@@ -101,6 +101,17 @@ class TestRuntimeFailures:
         assert err.startswith("error: step 2: total loss is nan")
         assert not ckpt.exists()
 
+    def test_analyze_routing_without_sequences_creates_nothing(self, workspace, tmp_path,
+                                                               capsys):
+        out_dir = tmp_path / "routing"
+        assert main(["analyze-routing", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", workspace["corpus"],
+                     "--sequences-per-lang", "0", "--seed", "2",
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sequences_per_lang must be at least 1, got 0\n"
+        assert not out_dir.exists()
+
 
 class TestPipeline:
     def test_training_log_format(self, workspace):

@@ -2,13 +2,14 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from moelab import model as model_mod
 from moelab.errors import ConfigError, ShapeError
-from moelab.model import (KVCache, Model, ModelConfig, desk_config, generate,
+from moelab.model import (FFN_MULTIPLIER, KVCache, Model, ModelConfig, desk_config, generate,
                           moe_layer_indices, paper_config, param_count)
 from moelab.tensor import no_grad
 
@@ -116,6 +117,41 @@ class TestForward:
             stacked = model.forward(batch).logits.data
             singles = [model.forward(row).logits.data for row in batch]
         assert np.allclose(stacked, np.stack(singles), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16,), (3, 16)], ids=["1d", "batch"])
+    @pytest.mark.parametrize("config", [tiny_config(seed=8), desk_config(seed=3)],
+                             ids=["tiny", "desk"])
+    def test_routing_pass_routes_like_full_forward(self, config, shape):
+        model = Model(config)
+        ids = np.random.default_rng(5).integers(0, config.vocab_size, size=shape)
+        with no_grad():
+            full = model.forward(ids)
+            routed = model.forward(ids, logits=False)
+        assert routed.logits is None
+        assert len(routed.moe_stats) == len(full.moe_stats) == len(moe_layer_indices(config))
+        for a, b in zip(routed.moe_stats, full.moe_stats):
+            assert np.array_equal(a.selected, b.selected)
+            assert np.array_equal(a.token_fraction, b.token_fraction)
+            assert a.balance_loss == b.balance_loss
+        for a, b in zip(routed.balance_losses, full.balance_losses):
+            assert np.array_equal(a.data, b.data)
+
+    def test_routing_pass_never_holds_a_logits_sized_array(self):
+        config = desk_config(seed=1)
+        model = Model(config)
+        b, t = 16, config.max_seq_len
+        ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(b, t))
+        logits_bytes = b * t * config.vocab_size * 8  # 64 MiB
+        # One FFN hidden activation: a floor showing that numpy's arrays are traced.
+        hidden_bytes = b * t * FFN_MULTIPLIER * config.d_model * 8
+        tracemalloc.start()
+        try:
+            with no_grad():
+                model.forward(ids, logits=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hidden_bytes <= peak < logits_bytes
 
     def test_overlong_sequence_rejected(self):
         model = Model(tiny_config(max_seq_len=8))
