@@ -188,9 +188,15 @@ class Model:
     param(), which registers it under its dotted name. Creation order is the
     order of named_parameters(), of the init draws, of the checkpoint tensors
     and of the optimizer. With `weights` (name -> array, as read_checkpoint
-    returns it) every parameter takes a float64 copy of its stored array
-    instead, and nothing is drawn; a missing or wrongly shaped array raises
-    FormatError, and names the model does not have are ignored.
+    returns it) every parameter takes its stored array instead, and nothing
+    is drawn; a missing or wrongly shaped array raises FormatError, and names
+    the model does not have are ignored.
+
+    The caller hands the weight arrays over: a parameter keeps an array that
+    is already float64, C-contiguous, aligned and writeable as its .data
+    without copying it, so no other parameter may hold that array and the
+    caller must not write it afterwards, because training updates it in place.
+    Any other array (float32, a strided view, read-only) is copied.
     """
 
     def __init__(self, config: ModelConfig, weights: dict[str, np.ndarray] | None = None):
@@ -208,7 +214,7 @@ class Model:
                 if weights[name].shape != shape:
                     raise FormatError(
                         f"tensor {name!r} has shape {weights[name].shape}, expected {shape}")
-                data = np.array(weights[name], dtype=np.float64)
+                data = np.require(weights[name], np.float64, "CAW")
             elif fill is None:
                 data = rng.normal(0.0, INIT_STD, size=shape)
             else:

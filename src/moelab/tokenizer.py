@@ -153,12 +153,30 @@ class Tokenizer:
                 payload = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise FormatError(f"cannot read tokenizer file {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise FormatError(f"{path}: tokenizer file holds a {type(payload).__name__}, "
+                              "not an object")
         if payload.get("version") != 1:
-            raise FormatError(f"unsupported tokenizer file version {payload.get('version')!r}")
+            raise FormatError(
+                f"{path}: unsupported tokenizer file version {payload.get('version')!r}")
         if payload.get("specials") != _SPECIALS:
-            raise FormatError(f"unexpected special-token table {payload.get('specials')!r}")
-        tok = cls(merges=[tuple(m) for m in payload["merges"]])
-        stored = [bytes(t) for t in payload["vocab"]]
+            raise FormatError(
+                f"{path}: unexpected special-token table {payload.get('specials')!r}")
+        merges, vocab = payload.get("merges"), payload.get("vocab")
+        if not (isinstance(merges, list)
+                and all(isinstance(m, list) and len(m) == 2
+                        and all(type(i) is int for i in m) for m in merges)):
+            raise FormatError(f"{path}: field 'merges' must be a list of [left, right] id pairs")
+        if not (isinstance(vocab, list) and all(isinstance(t, list) for t in vocab)):
+            raise FormatError(f"{path}: field 'vocab' must be a list of byte lists")
+        try:
+            tok = cls(merges=[tuple(m) for m in merges])
+        except FormatError as exc:
+            raise FormatError(f"{path}: field 'merges': {exc}") from None
+        try:
+            stored = [bytes(t) for t in vocab]
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: field 'vocab' holds a non-byte value: {exc}") from None
         if stored != tok.vocab:
-            raise FormatError("stored vocabulary does not match the merge rules")
+            raise FormatError(f"{path}: stored vocabulary does not match the merge rules")
         return tok

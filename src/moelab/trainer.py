@@ -224,9 +224,13 @@ def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> 
 
 
 def load_checkpoint(path: str) -> tuple[Model, dict | None]:
-    """Build the model from the stored parameters (bitwise, no init draw) plus any trainer state."""
+    """Build the model from the stored parameters (bitwise, no init draw) plus any trainer state.
+
+    The arrays read from the file become the parameters and Adam moments
+    themselves, so a float64 checkpoint is held once in memory.
+    """
     header, tensors = read_checkpoint(path)
-    if "model" not in header:
+    if not isinstance(header.get("model"), dict):
         raise FormatError(f"{path}: checkpoint header lacks a model config")
     config = ModelConfig.from_dict(header["model"])
     try:
@@ -243,5 +247,5 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
                 key = f"adam.{kind}.{name}"
                 if key not in tensors:
                     raise FormatError(f"{path}: checkpoint is missing optimizer tensor {key!r}")
-                state[dest][name] = tensors[key].astype(np.float64)
+                state[dest][name] = np.require(tensors[key], np.float64, "CAW")
     return model, state

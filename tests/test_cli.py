@@ -112,6 +112,15 @@ class TestRuntimeFailures:
         assert err == "error: sequences_per_lang must be at least 1, got 0\n"
         assert not out_dir.exists()
 
+    def test_malformed_tokenizer_is_exit_one(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2, 3]")
+        assert main(["generate", "--checkpoint", workspace["ckpt"], "--tokenizer", str(bad),
+                     "--prompt", "ab", "--max-new-tokens", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(bad) in captured.err
+
 
 class TestPipeline:
     def test_training_log_format(self, workspace):

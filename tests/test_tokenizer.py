@@ -158,3 +158,62 @@ def test_load_rejects_merge_referencing_future_id(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError):
         Tokenizer.load(str(path))
+
+
+def _valid_payload():
+    return {
+        "version": 1,
+        "vocab": [[i] for i in range(256)] + [[], [], [], [97, 97]],
+        "merges": [[97, 97]],
+        "specials": {"pad": 256, "bos": 257, "eos": 258},
+    }
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+        return payload
+    return edit
+
+
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+        return payload
+    return edit
+
+
+MALFORMED = {
+    "top-level list": (lambda payload: [payload], "not an object"),
+    "top-level string": (lambda payload: "tokenizer", "not an object"),
+    "missing merges": (_without("merges"), "'merges'"),
+    "missing vocab": (_without("vocab"), "'vocab'"),
+    "merges not a list": (_set("merges", {"0": [97, 97]}), "'merges'"),
+    "merge of one id": (_set("merges", [[97]]), "'merges'"),
+    "merge of three ids": (_set("merges", [[97, 97, 97]]), "'merges'"),
+    "merge ids as strings": (_set("merges", [["97", "97"]]), "'merges'"),
+    "merge ids as floats": (_set("merges", [[97.0, 97.0]]), "'merges'"),
+    "merge of a negative id": (_set("merges", [[-1, 97]]), "'merges'"),
+    "vocab not a list": (_set("vocab", "abc"), "'vocab'"),
+    "vocab entry not a list": (lambda p: _set("vocab", p["vocab"][:-1] + [3])(p), "'vocab'"),
+    "vocab byte out of range": (lambda p: _set("vocab", p["vocab"][:-1] + [[97, 300]])(p),
+                                "'vocab'"),
+    "vocab byte as string": (lambda p: _set("vocab", p["vocab"][:-1] + [["a", "a"]])(p),
+                             "'vocab'"),
+}
+
+
+def test_valid_payload_loads(tmp_path):
+    path = tmp_path / "tok.json"
+    path.write_text(json.dumps(_valid_payload()))
+    assert Tokenizer.load(str(path)).encode("aaaa") == [259, 259]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_rejects_malformed_payload_naming_path_and_field(tmp_path, case):
+    edit, field = MALFORMED[case]
+    path = tmp_path / "tok.json"
+    path.write_text(json.dumps(edit(_valid_payload())))
+    with pytest.raises(FormatError) as exc:
+        Tokenizer.load(str(path))
+    assert str(path) in str(exc.value) and field in str(exc.value)

@@ -280,12 +280,32 @@ class TestCheckpoint:
             assert np.array_equal(p.data, loaded.named_parameters()[name].data), name
         save_checkpoint(loaded, path2)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-        # the same weights handed to the constructor directly
-        weights = {n: p.data for n, p in model.named_parameters().items()}
+        # copies of the same weights handed over to the constructor directly:
+        # the model keeps exactly those float64 arrays
+        weights = {n: p.data.copy() for n, p in model.named_parameters().items()}
         direct = Model(tiny_config(seed=99), weights)
         assert list(direct.named_parameters()) == list(weights)
         for name, p in direct.named_parameters().items():
-            assert np.array_equal(p.data, weights[name]) and p.data is not weights[name], name
+            assert p.data is weights[name], name
+        # a loaded model's parameters are separate arrays
+        datas = [p.data for p in loaded.named_parameters().values()]
+        for i, a in enumerate(datas):
+            assert not any(np.shares_memory(a, b) for b in datas[i + 1:])
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: a.astype(np.float32),
+        lambda a: np.asfortranarray(a) if a.ndim == 2 else np.repeat(a, 2)[::2],
+        lambda a: np.lib.stride_tricks.as_strided(a, writeable=False),
+    ], ids=["float32", "non-contiguous", "read-only"])
+    def test_weights_the_model_cannot_keep_are_copied(self, convert):
+        model = Model(tiny_config(seed=24))
+        weights = {n: convert(p.data.copy()) for n, p in model.named_parameters().items()}
+        direct = Model(tiny_config(), weights)
+        for name, p in direct.named_parameters().items():
+            assert not np.shares_memory(p.data, weights[name]), name
+            assert p.data.dtype == np.float64 and p.data.flags.c_contiguous
+            assert p.data.flags.writeable, name
+            assert np.array_equal(p.data, weights[name].astype(np.float64)), name
 
     def test_float32_weights_load_as_float64(self):
         model = Model(tiny_config(seed=22))
