@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .fileio import atomic_write_text
 from .model import moe_layer_indices
 from .tensor import no_grad
@@ -62,6 +62,8 @@ class DistanceMatrix:
             raise ValueError("duplicate language codes in distance matrix")
         if self.values.shape != (n, n):
             raise ShapeError(f"matrix shape {self.values.shape} does not match {n} codes")
+        if not np.isfinite(self.values).all():
+            raise ValueError("distance matrix entries must be finite")
         if not np.allclose(self.values, self.values.T, atol=1e-12, rtol=0):
             raise ValueError("distance matrix is not symmetric")
         if (np.diag(self.values) != 0).any():
@@ -224,8 +226,7 @@ def write_matrix_tsv(matrix: DistanceMatrix, path: str) -> None:
 
 
 def read_matrix_tsv(path: str) -> DistanceMatrix:
-    from .errors import FormatError
-
+    """Read a matrix as write_matrix_tsv writes it; DistanceMatrix's checks apply unchanged."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("lang\t"):
@@ -242,9 +243,10 @@ def read_matrix_tsv(path: str) -> DistanceMatrix:
             values[i] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise FormatError(f"{path}: row {i + 2}: {exc}") from exc
-    values = np.clip((values + values.T) / 2.0, 0.0, 1.0)
-    np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(codes, values)
+    try:
+        return DistanceMatrix(codes, values)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def format_sweep_tsv(rows: list[tuple[float, int, float | None]]) -> str:

@@ -84,7 +84,7 @@ def write_jsonl(docs: list[Document], path: str) -> None:
 
 
 def doc_counts(stats: CorpusStats) -> dict[str, int]:
-    """Per-language document counts, languages sorted; unknown languages read as 0."""
+    """Per-language document counts, languages sorted; a language with no document has no key."""
     return {lang: stats.counts[lang] for lang in sorted(stats.counts)}
 
 

@@ -21,7 +21,7 @@ from .tensor import Tensor, embedding, grad_enabled, layer_norm, linear, no_grad
 INIT_STD = 0.02
 FFN_MULTIPLIER = 4  # feed-forward hidden width, in units of d_model
 LN_EPS = 1e-5
-MASKED_SCORE = -1e30  # finite so debug NaN/Inf checks stay usable; exp() underflows to exactly 0
+MASKED_SCORE = -1e30  # added to the scores of future keys; exp() underflows to exactly 0
 
 
 @dataclass
@@ -351,7 +351,7 @@ class Model:
             return ForwardOutput(logits=None, moe_stats=stats, balance_losses=balances)
 
         x = layer_norm(x, self.lnf_gain, self.lnf_bias, LN_EPS)
-        out = x @ self.tok_emb.transpose()
+        out = linear(x, self.tok_emb.transpose())
         if squeeze:
             out = out.reshape(t, cfg.vocab_size)
         return ForwardOutput(logits=out, moe_stats=stats, balance_losses=balances)
@@ -384,7 +384,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     scores = qh @ kh.transpose(0, 1, 3, 2)
     scores *= scale
     scores += np.triu(np.full((t, rows), MASKED_SCORE), k=rows - t + 1)
-    p = softmax(Tensor(scores), axis=-1).data
+    p = softmax(Tensor(scores)).data
 
     def bwd(g: np.ndarray) -> None:
         gc = split(g)
@@ -435,10 +435,7 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
             if temperature == 0.0:
                 nxt = int(last.argmax())
             else:
-                z = last / temperature
-                z -= z.max()
-                p = np.exp(z)
-                p /= p.sum()
+                p = softmax(Tensor(last / temperature)).data
                 nxt = int(rng.choice(len(p), p=p))
             ids.append(nxt)
             step = np.asarray([nxt])

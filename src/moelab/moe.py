@@ -70,11 +70,8 @@ class RoutingStats:
 
 def gate(x: Tensor, gate_weight: Tensor) -> tuple[Tensor, Tensor]:
     """Score tokens against experts: logits = x @ W^T, probs = row softmax."""
-    if x.shape[-1] != gate_weight.shape[-1]:
-        raise ShapeError(
-            f"token width {x.shape[-1]} does not match gate weight width {gate_weight.shape[-1]}")
-    logits = x @ gate_weight.transpose()
-    return logits, softmax(logits, axis=-1)
+    logits = linear(x, gate_weight.transpose())
+    return logits, softmax(logits)
 
 
 def aux_loss(avg_gate_prob, token_fraction) -> Tensor:

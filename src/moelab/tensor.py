@@ -30,13 +30,6 @@ from scipy.special import erf
 from .errors import ShapeError
 
 _grad_enabled = True
-_debug_checks = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection on every op output (debug mode; off by default)."""
-    global _debug_checks
-    _debug_checks = enabled
 
 
 @contextmanager
@@ -54,12 +47,6 @@ def no_grad():
 def grad_enabled() -> bool:
     """Whether ops record the graph for backward (False inside no_grad())."""
     return _grad_enabled
-
-
-def _checked(data: np.ndarray) -> np.ndarray:
-    if _debug_checks and not np.isfinite(data).all():
-        raise FloatingPointError("operation produced non-finite values")
-    return data
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -97,10 +84,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -132,7 +115,7 @@ class Tensor:
     @staticmethod
     def _op(data: np.ndarray, parents: tuple["Tensor", ...],
             backward: Callable[[np.ndarray], None]) -> "Tensor":
-        out = Tensor(_checked(data))
+        out = Tensor(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -178,18 +161,6 @@ class Tensor:
 
         return Tensor._op(a.data + b.data, (a, b), bwd)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        a = self
-        return Tensor._op(-a.data, (a,), lambda g: a._accum(-g))
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self, other
@@ -200,61 +171,18 @@ class Tensor:
 
         return Tensor._op(a.data * b.data, (a, b), bwd)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        a, b = self, other
-
-        def bwd(g: np.ndarray) -> None:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._op(a.data / b.data, (a, b), bwd)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        a = self
-        p = float(exponent)
-
-        def bwd(g: np.ndarray) -> None:
-            a._accum(g * p * a.data ** (p - 1.0))
-
-        return Tensor._op(a.data ** p, (a,), bwd)
-
-    def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-        a, b = self, other
-        if a.data.ndim < 2 or b.data.ndim < 2:
-            raise ShapeError(f"matmul needs rank >= 2 operands, got {a.data.shape} @ {b.data.shape}")
-        if a.data.shape[-1] != b.data.shape[-2]:
-            raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-        if b.data.ndim == 2:
-            return linear(a, b)
-
-        def bwd(g: np.ndarray) -> None:
-            a._accum(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-            b._accum(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-
-        return Tensor._op(a.data @ b.data, (a, b), bwd)
-
     # -- shape manipulation --------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         a = self
         orig = a.data.shape
         return Tensor._op(a.data.reshape(shape), (a,),
                           lambda g: a._accum(g.reshape(orig)))
 
-    def transpose(self, axes: Sequence[int] | None = None) -> "Tensor":
+    def transpose(self) -> "Tensor":
+        """All axes reversed; backward reverses them back."""
         a = self
-        if axes is None:
-            axes = tuple(reversed(range(a.data.ndim)))
-        axes = tuple(axes)
-        inverse = tuple(np.argsort(axes))
-        return Tensor._op(a.data.transpose(axes), (a,),
-                          lambda g: a._accum(g.transpose(inverse)))
+        return Tensor._op(a.data.transpose(), (a,), lambda g: a._accum(g.transpose()))
 
     def __getitem__(self, key) -> "Tensor":
         """numpy indexing (slices, integer arrays, index tuples); backward
@@ -270,38 +198,18 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis: int | None = None) -> "Tensor":
         a = self
 
         def bwd(g: np.ndarray) -> None:
-            if axis is None:
-                a._accum(np.broadcast_to(g, a.data.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                a._accum(np.broadcast_to(gg, a.data.shape).copy())
+            gg = g if axis is None else np.expand_dims(g, axis)
+            a._accum(np.broadcast_to(gg, a.data.shape).copy())
 
-        return Tensor._op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+        return Tensor._op(a.data.sum(axis=axis), (a,), bwd)
 
-    def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
-
-    # -- elementwise nonlinearities -------------------------------------------
-
-    def exp(self) -> "Tensor":
-        a = self
-        out_data = np.exp(a.data)
-        return Tensor._op(out_data, (a,), lambda g: a._accum(g * out_data))
-
-    def log(self) -> "Tensor":
-        a = self
-        return Tensor._op(np.log(a.data), (a,), lambda g: a._accum(g / a.data))
-
-    def tanh(self) -> "Tensor":
-        a = self
-        t = np.tanh(a.data)
-        return Tensor._op(t, (a,), lambda g: a._accum(g * (1.0 - t * t)))
+    def mean(self, axis: int | None = None) -> "Tensor":
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self.sum(axis=axis) * (1.0 / float(count))
 
 
 def as_tensor(x) -> Tensor:
@@ -359,17 +267,17 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._op(x.data * phi, (x,), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along `axis` (max subtraction)."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stabilized softmax along the last axis (max subtraction)."""
     x = as_tensor(x)
     if x.data.size == 0:
         raise ValueError("softmax of empty input")
-    p = x.data - x.data.max(axis=axis, keepdims=True)
+    p = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
-        inner = (g * p).sum(axis=axis, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         x._accum(p * (g - inner))
 
     return Tensor._op(p, (x,), bwd)
@@ -410,8 +318,11 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     if targets.ndim != 1 or targets.shape[0] != logits.data.shape[0]:
         raise ShapeError(
             f"targets shape {targets.shape} does not match logits rows {logits.data.shape[0]}")
-    if not np.issubdtype(targets.dtype, np.integer):
-        targets = targets.astype(np.int64)
+    if targets.size == 0:
+        raise ValueError("cross_entropy needs at least one target")
+    if targets.dtype.kind not in "iu":
+        raise ValueError(f"targets must be integers, got {targets.dtype}: "
+                         f"position 0 holds {targets.flat[0]!r}")
     n, v = logits.data.shape
     bad = np.nonzero((targets < 0) | (targets >= v))[0]
     if bad.size:

@@ -24,6 +24,8 @@ from .tensor import Tensor, as_tensor, cross_entropy
 
 LOG_HEADER = "step\tlm_loss\tmoe_loss\ttotal_loss\tlr\ttokens_seen"
 CLIP_NORM = 1.0  # global gradient-norm bound applied before every Adam step
+WARMUP_FRAC = 0.01  # share of a run's steps spent warming the learning rate up
+FLOOR_FRAC = 0.1  # the learning rate the cosine decays to, as a share of the peak
 
 
 @dataclass
@@ -68,11 +70,10 @@ class LrSchedule:
     min_lr: float
 
     @classmethod
-    def for_total_steps(cls, peak: float, total_steps: int,
-                        warmup_frac: float = 0.01, floor_frac: float = 0.1) -> "LrSchedule":
-        warmup = max(1, round(total_steps * warmup_frac))
+    def for_total_steps(cls, peak: float, total_steps: int) -> "LrSchedule":
+        warmup = max(1, round(total_steps * WARMUP_FRAC))
         return cls(peak=peak, warmup_steps=warmup,
-                   decay_steps=max(1, total_steps - warmup), min_lr=peak * floor_frac)
+                   decay_steps=max(1, total_steps - warmup), min_lr=peak * FLOOR_FRAC)
 
 
 def lr_at_step(step: int, schedule: LrSchedule) -> float:
@@ -121,11 +122,14 @@ class _EncodeCache:
 
 
 class Trainer:
-    """Owns one model plus its optimizer state for a deterministic run."""
+    """Owns one model plus its optimizer state for a deterministic run.
+
+    Every batch row holds max_seq_len + 1 ids: max_seq_len inputs and their
+    shifted targets.
+    """
 
     def __init__(self, model: Model, docs: list[Document], tokenizer,
-                 schedule: LrSchedule, batch_size: int, seed: int,
-                 seq_len: int | None = None):
+                 schedule: LrSchedule, batch_size: int, seed: int):
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.model = model
@@ -133,7 +137,7 @@ class Trainer:
         self.tokenizer = _EncodeCache(tokenizer)
         self.schedule = schedule
         self.batch_size = batch_size
-        self.seq_len = seq_len if seq_len is not None else model.config.max_seq_len
+        self.seq_len = model.config.max_seq_len
         self.seed = seed
         self.params = model.named_parameters()
         self.adam = AdamState(self.params)
@@ -191,12 +195,12 @@ class Trainer:
 
     @classmethod
     def resume(cls, path: str, docs: list[Document], tokenizer, schedule: LrSchedule,
-               batch_size: int, **kwargs) -> "Trainer":
+               batch_size: int) -> "Trainer":
         model, state = load_checkpoint(path)
         if state is None:
             raise FormatError(f"{path}: checkpoint carries no trainer state to resume from")
         trainer = cls(model, docs, tokenizer, schedule, batch_size,
-                      seed=state["seed"], **kwargs)
+                      seed=state["seed"])
         trainer.step = state["step"]
         trainer.tokens_seen = state["tokens_seen"]
         trainer.adam.step = state["adam"]["step"]
@@ -227,17 +231,21 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
     """Build the model from the stored parameters (bitwise, no init draw) plus any trainer state.
 
     The arrays read from the file become the parameters and Adam moments
-    themselves, so a float64 checkpoint is held once in memory.
+    themselves, so a float64 checkpoint is held once in memory. A trainer
+    state must be an object whose step, seed, tokens_seen and adam.step are
+    non-negative integers; anything else raises FormatError naming the field.
     """
     header, tensors = read_checkpoint(path)
     if not isinstance(header.get("model"), dict):
         raise FormatError(f"{path}: checkpoint header lacks a model config")
     config = ModelConfig.from_dict(header["model"])
+    state = header.get("state")
+    if state is not None:
+        _check_state(path, state)
     try:
         model = Model(config, tensors)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    state = header.get("state")
     if state is not None:
         state = dict(state)
         state["moments_m"] = {}
@@ -249,3 +257,18 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
                     raise FormatError(f"{path}: checkpoint is missing optimizer tensor {key!r}")
                 state[dest][name] = np.require(tensors[key], np.float64, "CAW")
     return model, state
+
+
+def _check_state(path: str, state) -> None:
+    if not isinstance(state, dict):
+        raise FormatError(f"{path}: checkpoint state must be an object, got {state!r}")
+    adam = state.get("adam")
+    if not isinstance(adam, dict):
+        raise FormatError(f"{path}: checkpoint state field 'adam' must be an object, "
+                          f"got {adam!r}")
+    for field, value in (("step", state.get("step")), ("seed", state.get("seed")),
+                         ("tokens_seen", state.get("tokens_seen")),
+                         ("adam.step", adam.get("step"))):
+        if type(value) is not int or value < 0:
+            raise FormatError(f"{path}: checkpoint state field {field!r} must be a "
+                              f"non-negative integer, got {value!r}")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,26 @@ class TestTsvFormats:
         path = tmp_path / "bad.tsv"
         path.write_text("codes\taa\tbb\naa\t0\t1\nbb\t1\t0\n")
         with pytest.raises(FormatError):
+            read_matrix_tsv(str(path))
+
+    @pytest.mark.parametrize("cells, problem", [
+        ({(0, 1): "inf", (1, 0): "inf"}, "finite"),
+        ({(0, 1): "nan", (1, 0): "nan"}, "finite"),
+        ({(0, 2): "7.0", (2, 0): "7.0"}, r"\[0, 1\]"),
+        ({(1, 2): "-3", (2, 1): "-3"}, r"\[0, 1\]"),
+        ({(0, 1): "0.400000"}, "not symmetric"),
+        ({(2, 2): "0.100000"}, "diagonal"),
+    ], ids=["inf", "nan", "above_one", "negative", "asymmetric", "diagonal"])
+    def test_matrix_tsv_bad_entry_is_rejected_not_repaired(self, tmp_path, cells, problem):
+        dm = DistanceMatrix(["aa", "bb", "cc"], np.array(
+            [[0.0, 0.5, 0.25], [0.5, 0.0, 0.75], [0.25, 0.75, 0.0]]))
+        path = tmp_path / "m.tsv"
+        write_matrix_tsv(dm, str(path))
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        for (i, j), value in cells.items():
+            rows[i + 1][j + 1] = value
+        path.write_text("".join("\t".join(row) + "\n" for row in rows))
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{problem}"):
             read_matrix_tsv(str(path))
 
     def test_vector_tsv_column_count(self, tmp_path):

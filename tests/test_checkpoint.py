@@ -112,6 +112,26 @@ def test_model_entry_that_is_not_an_object_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+TINY_CONFIG = dict(n_layers=2, d_model=8, n_heads=2, max_seq_len=4, vocab_size=16, n_experts=2)
+GOOD_STATE = {"step": 7, "seed": 3, "tokens_seen": 56, "adam": {"step": 7}}
+
+
+@pytest.mark.parametrize("state, field", [
+    ({k: v for k, v in GOOD_STATE.items() if k != "seed"}, "'seed'"),
+    (5, "state must be an object"),
+    ({**GOOD_STATE, "adam": "x"}, "'adam'"),
+    ({**GOOD_STATE, "step": "7"}, "'step'"),
+    ({**GOOD_STATE, "tokens_seen": True}, "'tokens_seen'"),
+    ({**GOOD_STATE, "adam": {"step": -1}}, "'adam.step'"),
+], ids=["no_seed", "number", "adam_string", "step_string", "tokens_bool", "adam_step_negative"])
+def test_malformed_trainer_state_names_the_field(tmp_path, state, field):
+    path = tmp_path / "state.ckpt"
+    path.write_bytes(craft(json.dumps({"model": TINY_CONFIG, "state": state}).encode()))
+    with pytest.raises(FormatError) as info:
+        load_checkpoint(str(path))
+    assert str(path) in str(info.value) and field in str(info.value)
+
+
 def test_tensor_name_that_is_not_utf8_rejected(tmp_path):
     blob = bytearray(TINY)
     blob[BOUNDARIES["tensor 0 name"]] = 0xFF

@@ -246,3 +246,64 @@ def test_synth_corpus_files_parse(workspace):
     assert stats.total == 2 * 2 * 8
     truth = read_matrix_tsv(workspace["truth"])
     assert truth.codes == ["aa", "ab", "ba", "bb"]
+
+
+def tensor_functions():
+    """The code of every function and method defined in tensor.py, closures included,
+    except grad_check (the tests' reference) and __repr__."""
+    import inspect
+    import types
+
+    from moelab import tensor
+
+    members = list(vars(tensor).values()) + list(vars(tensor.Tensor).values())
+    todo = []
+    for m in members:
+        m = getattr(m, "fget", getattr(m, "__func__", m))  # properties, staticmethods
+        if inspect.isfunction(m):
+            todo.append(inspect.unwrap(m).__code__)
+    found = set()
+    while todo:
+        code = todo.pop()
+        if code.co_filename == tensor.__file__ and code.co_name not in ("grad_check",
+                                                                         "__repr__"):
+            found.add(code)
+            todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return {c for c in found if not c.co_name.startswith("<") or c.co_name == "<lambda>"}
+
+
+def test_product_paths_enter_every_tensor_function(workspace, tmp_path, capsys):
+    """The autodiff engine holds nothing that training, decoding, scoring and
+    routing analysis leave unused."""
+    import sys
+
+    from moelab.model import generate
+    from moelab.trainer import load_checkpoint
+
+    entered = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    common = ["--checkpoint", workspace["ckpt"], "--tokenizer", workspace["tok"]]
+    sys.setprofile(record)
+    try:
+        assert main(["train", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                     "--tokenizer", workspace["tok"], "--steps", "2", "--batch-size", "2",
+                     "--seed", "5", "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                     "--log", str(tmp_path / "log.tsv")]) == 0
+        assert main(["generate", *common, "--prompt", "ab", "--max-new-tokens", "3"]) == 0
+        model, _ = load_checkpoint(workspace["ckpt"])
+        generate(model, [1, 2], 3, temperature=0.9, seed=3)
+        assert main(["perplexity", *common, "--corpus", workspace["corpus"],
+                     "--lang", "aa"]) == 0
+        assert main(["analyze-routing", *common, "--corpus", workspace["corpus"],
+                     "--sequences-per-lang", "1", "--seed", "2",
+                     "--out-dir", str(tmp_path / "routing")]) == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    unused = sorted(f"{c.co_name} (line {c.co_firstlineno})"
+                    for c in tensor_functions() - entered)
+    assert not unused, f"tensor.py functions no product path enters: {unused}"

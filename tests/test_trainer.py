@@ -205,10 +205,9 @@ class TestTrainer:
 
     def test_overfits_single_repeated_sequence(self, word_tokenizer):
         docs = [Document("en", "sun moon tree fish wind rain red blue")]
-        model = Model(tiny_config(n_layers=2, d_model=32, max_seq_len=24, seed=13))
+        model = Model(tiny_config(n_layers=2, d_model=32, max_seq_len=16, seed=13))
         tr = Trainer(model, docs, word_tokenizer,
-                     LrSchedule.for_total_steps(5e-3, 150), batch_size=1,
-                     seed=13, seq_len=16)
+                     LrSchedule.for_total_steps(5e-3, 150), batch_size=1, seed=13)
         rows = tr.run(150, stop_lm_loss=0.2)
         assert rows[-1].lm_loss < 0.2
 
