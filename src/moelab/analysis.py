@@ -32,7 +32,6 @@ class ActivationVector:
 
     lang: str
     counts: np.ndarray
-    tokens_processed: int
     n_experts: int
 
     def __post_init__(self):
@@ -50,7 +49,10 @@ class ActivationVector:
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric pairwise language distances in [0, 1] with a zero diagonal."""
+    """Symmetric pairwise language distances in [0, 1] with a zero diagonal.
+
+    A violation names its first offending entry by language codes and value.
+    """
 
     codes: list[str]
     values: np.ndarray
@@ -62,14 +64,23 @@ class DistanceMatrix:
             raise ValueError("duplicate language codes in distance matrix")
         if self.values.shape != (n, n):
             raise ShapeError(f"matrix shape {self.values.shape} does not match {n} codes")
-        if not np.isfinite(self.values).all():
-            raise ValueError("distance matrix entries must be finite")
-        if not np.allclose(self.values, self.values.T, atol=1e-12, rtol=0):
-            raise ValueError("distance matrix is not symmetric")
-        if (np.diag(self.values) != 0).any():
-            raise ValueError("distance matrix diagonal must be exactly zero")
-        if self.values.min() < 0 or self.values.max() > 1:
-            raise ValueError("distance matrix entries must lie in [0, 1]")
+        v = self.values
+
+        def entry(i: int, j: int) -> str:
+            return f"d({self.codes[i]}, {self.codes[j]})={float(v[i, j])!r}"
+
+        def first(bad: np.ndarray) -> tuple[int, int] | None:
+            return tuple(np.argwhere(bad)[0]) if bad.any() else None
+
+        if at := first(~np.isfinite(v)):
+            raise ValueError(f"distance matrix entries must be finite: {entry(*at)}")
+        if at := first(np.abs(v - v.T) > 1e-12):
+            raise ValueError(
+                f"distance matrix is not symmetric: {entry(*at)} but {entry(*at[::-1])}")
+        if at := first(np.diag(np.diag(v) != 0)):
+            raise ValueError(f"distance matrix diagonal must be exactly zero: {entry(*at)}")
+        if at := first((v < 0) | (v > 1)):
+            raise ValueError(f"distance matrix entries must lie in [0, 1]: {entry(*at)}")
 
     def restrict(self, codes: list[str]) -> "DistanceMatrix":
         idx = [self.codes.index(c) for c in codes]
@@ -109,7 +120,7 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
             for layer, stats in enumerate(out.moe_stats):
                 counts[layer * n_experts:(layer + 1) * n_experts] += np.bincount(
                     stats.selected, minlength=n_experts)
-        vectors.append(ActivationVector(lang, counts, sequences_per_lang * seq_len, n_experts))
+        vectors.append(ActivationVector(lang, counts, n_experts))
     return vectors
 
 

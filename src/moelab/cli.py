@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import analysis, corpus as corpus_mod, model as model_mod, trainer as trainer_mod
-from .errors import ConfigError, FormatError, ShapeError
 from .tensor import no_grad
 from .tokenizer import BOS_ID, EOS_ID, Tokenizer
 
@@ -89,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="Pearson r between two distance matrices")
     p.add_argument("--a", required=True, help="matrix TSV")
     p.add_argument("--b", required=True, help="matrix TSV")
-    p.add_argument("--doc-counts", default=None, help="doc-count TSV enabling a threshold sweep")
+    p.add_argument("--doc-counts", default=None,
+                   help="doc-count TSV enabling a threshold sweep (analyze-routing writes one)")
     p.add_argument("--thresholds", default=None, help="comma-separated ascending thresholds")
     p.set_defaults(func=cmd_correlate)
 
@@ -199,6 +199,7 @@ def cmd_analyze_routing(args) -> int:
     analysis.write_matrix_tsv(analysis.distance_matrix(vectors),
                               os.path.join(args.out_dir, "distance.tsv"))
     analysis.write_heatmap_tsv(vectors, os.path.join(args.out_dir, "heatmap.tsv"))
+    corpus_mod.write_doc_counts_tsv(stats.counts, os.path.join(args.out_dir, "doc_counts.tsv"))
     print(f"analyzed {len(vectors)} languages -> {args.out_dir}")
     return 0
 
@@ -226,8 +227,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, ConfigError, FormatError, ShapeError, OSError,
-            FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:  # errors.py types are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

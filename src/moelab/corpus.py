@@ -83,11 +83,6 @@ def write_jsonl(docs: list[Document], path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def doc_counts(stats: CorpusStats) -> dict[str, int]:
-    """Per-language document counts, languages sorted; a language with no document has no key."""
-    return {lang: stats.counts[lang] for lang in sorted(stats.counts)}
-
-
 def write_doc_counts_tsv(counts: dict[str, int], path: str) -> None:
     rows = ["lang\tcount"] + [f"{lang}\t{counts[lang]}" for lang in sorted(counts)]
     atomic_write_text(path, "\n".join(rows) + "\n")

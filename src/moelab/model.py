@@ -10,7 +10,7 @@ final layer norm.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -152,14 +152,14 @@ class DecoderLayer:
 
 @dataclass
 class ForwardOutput:
-    """Logits plus the per-MoE-layer routing snapshots and balance-loss nodes.
+    """Logits plus one routing record per MoE layer, in layer order.
 
-    logits is None after a routing pass, forward(tokens, logits=False).
+    logits is None after a routing pass, forward(tokens, logits=False). Each
+    record carries its layer's balance-loss node, which total_loss sums.
     """
 
     logits: Tensor | None
-    moe_stats: list[RoutingStats] = field(default_factory=list)
-    balance_losses: list[Tensor] = field(default_factory=list)
+    moe_stats: list[RoutingStats]
 
 
 class KVCache:
@@ -323,7 +323,6 @@ class Model:
 
         x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(s, s + t))
         stats: list[RoutingStats] = []
-        balances: list[Tensor] = []
         for i, layer in enumerate(self.layers):
             h = layer_norm(x, layer.ln1_gain, layer.ln1_bias, LN_EPS)
             a = layer.attn
@@ -339,22 +338,21 @@ class Model:
 
             h = layer_norm(x, layer.ln2_gain, layer.ln2_bias, LN_EPS)
             if layer.moe is not None:
-                y, layer_stats, balance = moe_forward(h.reshape(b * t, d), layer.moe)
+                y, layer_stats = moe_forward(h.reshape(b * t, d), layer.moe)
                 x = x + y.reshape(b, t, d)
                 stats.append(layer_stats)
-                balances.append(balance)
             else:
                 x = x + ffn_forward(h, layer.ffn)
         if cache is not None:
             cache.length = s + t
         if not logits:
-            return ForwardOutput(logits=None, moe_stats=stats, balance_losses=balances)
+            return ForwardOutput(logits=None, moe_stats=stats)
 
         x = layer_norm(x, self.lnf_gain, self.lnf_bias, LN_EPS)
         out = linear(x, self.tok_emb.transpose())
         if squeeze:
             out = out.reshape(t, cfg.vocab_size)
-        return ForwardOutput(logits=out, moe_stats=stats, balance_losses=balances)
+        return ForwardOutput(logits=out, moe_stats=stats)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:

@@ -12,9 +12,10 @@ contiguous runs, each expert runs once on its run, and the inverse
 permutation puts the outputs back in token order. An expert that receives no
 token is not called.
 
-moe_forward also returns the Switch load-balancing loss N * sum_i f_i * P_i
-(aux_loss), where f is the fraction of tokens routed to each expert and P the
-mean gate probability per expert.
+Each call also yields one RoutingStats record: the selection, the fraction
+f_i of tokens routed to each expert, and the Switch load-balancing loss
+N * sum_i f_i * P_i as a graph node, with P_i the mean gate probability of
+expert i. Only P carries gradient; f enters as a constant.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .tensor import Tensor, as_tensor, concat, gelu, linear, softmax
+from .tensor import Tensor, concat, gelu, linear, softmax
 
 
 @dataclass
@@ -55,47 +55,37 @@ class MoeLayer:
 
 @dataclass
 class RoutingStats:
-    """Per-layer routing snapshot for one forward pass over T tokens.
+    """One MoE layer's routing record for one forward pass over T tokens.
 
-    selected holds each token's expert index. avg_gate_prob and
-    token_fraction are the length-N vectors P and f whose scaled dot product
-    is balance_loss.
+    selected holds each token's expert index and token_fraction the length-N
+    vector f, the share of tokens each expert received. balance is the
+    load-balancing loss N * sum_i f_i * P_i as a graph node: it equals 1.0
+    when both f and the mean gate probabilities P are uniform and grows
+    toward N as routing concentrates on fewer experts.
     """
 
     selected: np.ndarray
-    avg_gate_prob: np.ndarray
     token_fraction: np.ndarray
-    balance_loss: float
+    balance: Tensor
+
+    @property
+    def balance_loss(self) -> float:
+        """balance as a float, read by the benchmark's trace (perfbench/moebench/layers.py)."""
+        return self.balance.item()
 
 
-def gate(x: Tensor, gate_weight: Tensor) -> tuple[Tensor, Tensor]:
-    """Score tokens against experts: logits = x @ W^T, probs = row softmax."""
-    logits = linear(x, gate_weight.transpose())
-    return logits, softmax(logits)
+def gate(x: Tensor, gate_weight: Tensor) -> Tensor:
+    """Score tokens against experts: row softmax of x @ W^T."""
+    return softmax(linear(x, gate_weight.transpose()))
 
 
-def aux_loss(avg_gate_prob, token_fraction) -> Tensor:
-    """Load-balancing loss: n_experts times the dot product of the two vectors.
-
-    Equals 1.0 when both are uniform and grows toward n_experts as routing
-    concentrates on fewer experts. Gradient flows through avg_gate_prob only.
-    """
-    p = as_tensor(avg_gate_prob)
-    f = np.asarray(token_fraction, dtype=np.float64)
-    if p.shape != f.shape or p.ndim != 1:
-        raise ShapeError(f"expected matching vectors, got {p.shape} and {f.shape}")
-    return (p * f).sum() * float(len(f))
-
-
-def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats, Tensor]:
+def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats]:
     """Route each of the T tokens in x (T x d) through its top-1 expert.
 
-    Returns the combined layer output, the routing statistics, and the
-    differentiable balance-loss node. The token fraction enters that node as
-    a constant: only the mean gate probability carries gradient.
+    Returns the combined layer output and the layer's routing record.
     """
     n_tokens = x.shape[0]
-    _, probs = gate(x, layer.gate_weight)
+    probs = gate(x, layer.gate_weight)
     selected = probs.data.argmax(axis=-1)  # ties resolve to the lowest expert index
     counts = np.bincount(selected, minlength=layer.n_experts)
     order = np.argsort(selected, kind="stable")  # keeps token order within each expert
@@ -106,8 +96,5 @@ def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats, Tenso
     out = grouped[np.argsort(order)] * probs[rows, selected[:, None]]
 
     token_fraction = counts / n_tokens
-    avg_gate_prob = probs.mean(axis=0)  # Tensor: keeps the gate on the loss path
-    balance = aux_loss(avg_gate_prob, token_fraction)
-    stats = RoutingStats(selected=selected, avg_gate_prob=avg_gate_prob.data.copy(),
-                         token_fraction=token_fraction, balance_loss=balance.item())
-    return out, stats, balance
+    balance = (probs.mean(axis=0) * token_fraction).sum() * float(layer.n_experts)
+    return out, RoutingStats(selected, token_fraction, balance)

@@ -80,10 +80,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -227,13 +223,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     in place. Backward: gx = g @ w^T, gw = x2^T @ g2 as one product over all
     rows (x2, g2 are x and g with leading axes folded), gb = column sums of g2.
     """
-    x, w = as_tensor(x), as_tensor(w)
     if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(
             f"linear needs x (..., n) and w (n, m), got {x.data.shape} and {w.data.shape}")
     parents = (x, w)
     if b is not None:
-        b = as_tensor(b)
         if b.data.shape != (w.data.shape[1],):
             raise ShapeError(
                 f"linear bias must have shape ({w.data.shape[1]},), got {b.data.shape}")
@@ -257,7 +251,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian Error Linear Unit, x * CDF(x), with the exact Gaussian CDF."""
-    x = as_tensor(x)
     phi = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
 
     def bwd(g: np.ndarray) -> None:
@@ -269,7 +262,6 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Numerically stabilized softmax along the last axis (max subtraction)."""
-    x = as_tensor(x)
     if x.data.size == 0:
         raise ValueError("softmax of empty input")
     p = x.data - x.data.max(axis=-1, keepdims=True)
@@ -285,7 +277,6 @@ def softmax(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
@@ -311,7 +302,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
     Backward is the fused (softmax - one_hot) / rows form.
     """
-    logits = as_tensor(logits)
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects a rank-2 logits matrix, got {logits.data.shape}")
     targets = np.asarray(targets)
@@ -345,7 +335,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup weight[ids], with every id checked against the table size."""
-    weight = as_tensor(weight)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.data.shape[0]):
         raise ValueError(
@@ -355,7 +344,7 @@ def embedding(weight: Tensor, ids) -> Tensor:
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Join tensors along the first axis; backward hands each part its own rows."""
-    parts = tuple(as_tensor(p) for p in parts)
+    parts = tuple(parts)
     ends = np.cumsum([p.data.shape[0] for p in parts])[:-1]
 
     def bwd(g: np.ndarray) -> None:

@@ -20,7 +20,7 @@ from .errors import FormatError, ShapeError
 from .fileio import atomic_write_text
 from .model import ForwardOutput, Model, ModelConfig
 from .optim import AdamState, adam_step, clip_global_norm
-from .tensor import Tensor, as_tensor, cross_entropy
+from .tensor import Tensor, cross_entropy
 
 LOG_HEADER = "step\tlm_loss\tmoe_loss\ttotal_loss\tlr\ttokens_seen"
 CLIP_NORM = 1.0  # global gradient-norm bound applied before every Adam step
@@ -33,28 +33,24 @@ class LossBreakdown:
     lm_loss: float
     moe_loss: float
     total_loss: float
-    node: Tensor | None = None  # backward entry point; None for detached evaluations
+    node: Tensor  # backward entry point
 
 
 def total_loss(output: ForwardOutput, targets, alpha: float) -> LossBreakdown:
-    """Combine cross-entropy with alpha times the summed per-layer balance losses."""
-    logits = as_tensor(output.logits)
+    """Cross-entropy plus alpha times the MoE layers' balance losses, summed in layer order.
+
+    Logits are (T, V) for targets (T,) or (B, T, V) for targets (B, T).
+    """
+    logits = output.logits
     targets = np.asarray(targets)
     if targets.shape != logits.shape[:-1]:
         raise ShapeError(
             f"targets shape {targets.shape} does not align with logits {logits.shape}")
-    if logits.ndim == 3:
-        logits = logits.reshape(targets.size, logits.shape[-1])
-        targets = targets.reshape(-1)
-    lm = cross_entropy(logits, targets)
-    balances = output.balance_losses
-    if balances:
-        aux_sum = balances[0]
-        for b in balances[1:]:
-            aux_sum = aux_sum + b
-        moe = as_tensor(aux_sum) * alpha
-    else:
-        moe = as_tensor(0.0)
+    lm = cross_entropy(logits.reshape(targets.size, logits.shape[-1]), targets.reshape(-1))
+    moe = output.moe_stats[0].balance
+    for stats in output.moe_stats[1:]:
+        moe = moe + stats.balance
+    moe = moe * alpha
     node = lm + moe
     return LossBreakdown(lm_loss=lm.item(), moe_loss=moe.item(),
                          total_loss=node.item(), node=node)
@@ -125,11 +121,13 @@ class Trainer:
     """Owns one model plus its optimizer state for a deterministic run.
 
     Every batch row holds max_seq_len + 1 ids: max_seq_len inputs and their
-    shifted targets.
+    shifted targets. Adam starts from zero moments unless `adam` hands over
+    the state to continue from, as Trainer.resume does.
     """
 
     def __init__(self, model: Model, docs: list[Document], tokenizer,
-                 schedule: LrSchedule, batch_size: int, seed: int):
+                 schedule: LrSchedule, batch_size: int, seed: int,
+                 adam: AdamState | None = None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.model = model
@@ -140,7 +138,7 @@ class Trainer:
         self.seq_len = model.config.max_seq_len
         self.seed = seed
         self.params = model.named_parameters()
-        self.adam = AdamState(self.params)
+        self.adam = AdamState(self.params) if adam is None else adam
         self.step = 0
         self.tokens_seen = 0
 
@@ -171,9 +169,10 @@ class Trainer:
         self.model.zero_grad()
         return breakdown
 
-    def run(self, steps: int, log_path: str | None = None,
-            stop_lm_loss: float | None = None) -> list[LogRow]:
-        """Train for up to `steps` steps; optionally stop once lm_loss dips below a target."""
+    def run(self, steps: int, log_path: str | None = None) -> list[LogRow]:
+        """Train for `steps` steps (at least 1; checked before any step or file write)."""
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps}")
         rows: list[LogRow] = []
         for _ in range(steps):
             step = self.step
@@ -185,8 +184,6 @@ class Trainer:
             rows.append(LogRow(step, breakdown.lm_loss, breakdown.moe_loss,
                                breakdown.total_loss, lr_at_step(step, self.schedule),
                                self.tokens_seen))
-            if stop_lm_loss is not None and breakdown.lm_loss < stop_lm_loss:
-                break
         if log_path is not None:
             write_log_tsv(rows, log_path)
         return rows
@@ -199,14 +196,11 @@ class Trainer:
         model, state = load_checkpoint(path)
         if state is None:
             raise FormatError(f"{path}: checkpoint carries no trainer state to resume from")
-        trainer = cls(model, docs, tokenizer, schedule, batch_size,
-                      seed=state["seed"])
+        adam = AdamState({})  # allocates nothing; the loaded moments and step become its state
+        adam.m, adam.v, adam.step = state["moments_m"], state["moments_v"], state["adam"]["step"]
+        trainer = cls(model, docs, tokenizer, schedule, batch_size, seed=state["seed"], adam=adam)
         trainer.step = state["step"]
         trainer.tokens_seen = state["tokens_seen"]
-        trainer.adam.step = state["adam"]["step"]
-        for name in trainer.params:
-            trainer.adam.m[name] = state["moments_m"][name]
-            trainer.adam.v[name] = state["moments_v"][name]
         return trainer
 
 

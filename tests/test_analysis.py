@@ -19,9 +19,7 @@ from moelab.tokenizer import Tokenizer
 
 
 def vec(lang, counts, n_experts=2):
-    counts = np.asarray(counts, dtype=np.int64)
-    return ActivationVector(lang, counts, int(counts.sum()) // (len(counts) // n_experts),
-                            n_experts)
+    return ActivationVector(lang, counts, n_experts)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +58,7 @@ class TestCollectActivations:
         model, tok, docs, _ = tiny_setup
         vectors = collect_activations(model, tok, docs, 5, 12, seed=1)
         for v in vectors:
-            assert v.counts.sum() == v.tokens_processed * v.n_layers
+            assert v.counts.sum() == 5 * 12 * v.n_layers  # sequences x positions x layers
 
     def test_bitwise_reproducible_and_read_only(self, tiny_setup):
         model, tok, docs, _ = tiny_setup
@@ -313,12 +311,12 @@ class TestTsvFormats:
             read_matrix_tsv(str(path))
 
     @pytest.mark.parametrize("cells, problem", [
-        ({(0, 1): "inf", (1, 0): "inf"}, "finite"),
-        ({(0, 1): "nan", (1, 0): "nan"}, "finite"),
-        ({(0, 2): "7.0", (2, 0): "7.0"}, r"\[0, 1\]"),
-        ({(1, 2): "-3", (2, 1): "-3"}, r"\[0, 1\]"),
-        ({(0, 1): "0.400000"}, "not symmetric"),
-        ({(2, 2): "0.100000"}, "diagonal"),
+        ({(0, 1): "inf", (1, 0): "inf"}, r"finite: d\(aa, bb\)=inf$"),
+        ({(0, 1): "nan", (1, 0): "nan"}, r"finite: d\(aa, bb\)=nan$"),
+        ({(0, 2): "7.0", (2, 0): "7.0"}, r"\[0, 1\]: d\(aa, cc\)=7\.0$"),
+        ({(1, 2): "-3", (2, 1): "-3"}, r"\[0, 1\]: d\(bb, cc\)=-3\.0$"),
+        ({(0, 1): "0.400000"}, r"not symmetric: d\(aa, bb\)=0\.4 but d\(bb, aa\)=0\.5$"),
+        ({(2, 2): "0.100000"}, r"diagonal .*: d\(cc, cc\)=0\.1$"),
     ], ids=["inf", "nan", "above_one", "negative", "asymmetric", "diagonal"])
     def test_matrix_tsv_bad_entry_is_rejected_not_repaired(self, tmp_path, cells, problem):
         dm = DistanceMatrix(["aa", "bb", "cc"], np.array(

@@ -188,3 +188,18 @@ class TestMemory:
         assert (state is not None) == with_adam
         for name, p in model.named_parameters().items():
             assert np.array_equal(p.data, loaded.named_parameters()[name].data), name
+
+    def test_resume_holds_the_moments_once(self, tmp_path, model):
+        schedule = LrSchedule.for_total_steps(1e-3, 10)
+        path = str(tmp_path / "r.ckpt")
+        save_checkpoint(model, path, Trainer(model, [], None, schedule, batch_size=1, seed=0))
+        peaks = []
+        for load in (lambda: load_checkpoint(path),
+                     lambda: Trainer.resume(path, [], None, schedule, batch_size=1)):
+            tracemalloc.start()
+            try:
+                load()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + MiB, peaks

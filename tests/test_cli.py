@@ -101,6 +101,16 @@ class TestRuntimeFailures:
         assert err.startswith("error: step 2: total loss is nan")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_train_without_steps_writes_nothing(self, workspace, tmp_path, capsys, steps):
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.tsv"
+        assert main(["train", "--config", workspace["config"],
+                     "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
+                     "--steps", steps, "--batch-size", "2", "--seed", "7",
+                     "--checkpoint-out", str(ckpt), "--log", str(log)]) == 1
+        assert capsys.readouterr().err == f"error: steps must be at least 1, got {steps}\n"
+        assert not ckpt.exists() and not log.exists()
+
     def test_analyze_routing_without_sequences_creates_nothing(self, workspace, tmp_path,
                                                                capsys):
         out_dir = tmp_path / "routing"
@@ -223,6 +233,22 @@ class TestPipeline:
         assert lines[0] == "threshold\tn_languages\tpearson_r"
         assert lines[1].startswith("0\t4\t")
         assert lines[3] == "100\t0\tNA"
+
+    def test_analyze_routing_counts_feed_the_sweep(self, workspace, tmp_path, capsys):
+        out_dir = tmp_path / "routing"
+        assert main(["analyze-routing", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", workspace["corpus"],
+                     "--sequences-per-lang", "1", "--seed", "2",
+                     "--out-dir", str(out_dir)]) == 0
+        counts = out_dir / "doc_counts.tsv"
+        assert counts.read_text() == "lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n"
+        capsys.readouterr()
+        assert main(["correlate", "--a", str(out_dir / "distance.tsv"),
+                     "--b", workspace["truth"], "--doc-counts", str(counts),
+                     "--thresholds", "1,1000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("1\t4\t")
+        assert lines[2:] == ["1000\t0\tNA"]
 
     def test_correlate_unsorted_thresholds_print_nothing(self, workspace, tmp_path, capsys):
         counts = tmp_path / "counts.tsv"

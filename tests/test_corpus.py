@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from moelab.corpus import (Document, doc_counts, load_jsonl, read_doc_counts_tsv,
+from moelab.corpus import (Document, load_jsonl, read_doc_counts_tsv,
                            sample_batch, synth_corpus, write_doc_counts_tsv,
                            write_jsonl)
 from moelab.errors import FormatError
@@ -70,10 +70,9 @@ class TestDocCounts:
                [json.dumps({"lang": "de", "text": "y"})]
         path.write_text("\n".join(rows) + "\n")
         _, stats = load_jsonl(str(path))
-        counts = doc_counts(stats)
-        assert counts == {"de": 1, "en": 3}
+        assert stats.counts == {"de": 1, "en": 3}
         assert stats.counts.get("xx", 0) == 0
-        assert sum(counts.values()) == stats.total
+        assert sum(stats.counts.values()) == stats.total
 
     def test_tsv_roundtrip(self, tmp_path):
         counts = {"en": 42, "de": 7}

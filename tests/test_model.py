@@ -57,7 +57,7 @@ class TestPlacement:
         model = Model(tiny_config(n_layers=4))
         out = model.forward(np.arange(6))
         assert len(out.moe_stats) == 2
-        assert len(out.balance_losses) == 2
+        assert all(s.balance.shape == () and s.balance.requires_grad for s in out.moe_stats)
 
 
 class TestBuild:
@@ -133,8 +133,6 @@ class TestForward:
             assert np.array_equal(a.selected, b.selected)
             assert np.array_equal(a.token_fraction, b.token_fraction)
             assert a.balance_loss == b.balance_loss
-        for a, b in zip(routed.balance_losses, full.balance_losses):
-            assert np.array_equal(a.data, b.data)
 
     def test_routing_pass_never_holds_a_logits_sized_array(self):
         config = desk_config(seed=1)

@@ -1,4 +1,4 @@
-"""MoE layer: gating math, top-1 routing, balance statistics, gradient structure."""
+"""MoE layer: gating math, top-1 routing, the balance loss, gradient structure."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moelab.errors import ShapeError
-from moelab.moe import FeedForward, MoeLayer, aux_loss, ffn_forward, gate, moe_forward
+from moelab.moe import FeedForward, MoeLayer, ffn_forward, gate, moe_forward
 from moelab.tensor import Tensor, grad_check
 
 
@@ -26,19 +26,18 @@ def make_layer(rng, d=4, n_experts=3, hidden=None):
 class TestGate:
     def test_zero_weights_give_uniform(self):
         x = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
-        _, probs = gate(x, Tensor(np.zeros((3, 4))))
+        probs = gate(x, Tensor(np.zeros((3, 4))))
         assert np.allclose(probs.data, 1 / 3, atol=1e-12)
 
     def test_single_expert_prob_one(self):
         x = Tensor(np.random.default_rng(1).normal(size=(4, 2)))
-        _, probs = gate(x, Tensor(np.zeros((1, 2))))
+        probs = gate(x, Tensor(np.zeros((1, 2))))
         assert np.array_equal(probs.data, np.ones((4, 1)))
 
     def test_hand_softmax(self):
         x = Tensor([[1.0, 0.0]])
         w = Tensor([[math.log(2.0), 0.0], [0.0, 0.0]])
-        logits, probs = gate(x, w)
-        assert np.allclose(logits.data, [[math.log(2.0), 0.0]], atol=1e-15)
+        probs = gate(x, w)
         assert np.allclose(probs.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_width_mismatch(self):
@@ -53,8 +52,15 @@ def route_probs(probs):
     n_tokens, n_experts = probs.shape
     layer = make_layer(np.random.default_rng(12), d=n_tokens, n_experts=n_experts)
     layer.gate_weight.data = np.log(probs).T.copy()
-    _, stats, _ = moe_forward(Tensor(np.eye(n_tokens)), layer)
+    _, stats = moe_forward(Tensor(np.eye(n_tokens)), layer)
     return stats
+
+
+def reference_balance(x, layer, selected):
+    """N * dot(P, f) in plain numpy: P the mean gate probability, f the token shares."""
+    probs = gate(Tensor(x), layer.gate_weight).data
+    fraction = np.bincount(selected, minlength=layer.n_experts) / len(x)
+    return layer.n_experts * float(np.dot(probs.mean(axis=0), fraction))
 
 
 class TestRoute:
@@ -76,19 +82,19 @@ class TestRoute:
 class TestLoadBalanceStats:
     def test_all_tokens_to_one_expert(self):
         stats = route_probs(np.tile([0.9, 0.1], (4, 1)))
-        assert np.allclose(stats.avg_gate_prob, [0.9, 0.1], atol=1e-15)
         assert np.array_equal(stats.token_fraction, [1.0, 0.0])
+        assert abs(stats.balance_loss - 2 * 0.9) < 1e-12
 
     def test_alternating_uniform(self):
         # uniform mean probability, tokens alternate between the two experts
         stats = route_probs([[0.6, 0.4], [0.4, 0.6], [0.6, 0.4], [0.4, 0.6]])
         assert stats.selected.tolist() == [0, 1, 0, 1]
-        assert np.allclose(stats.avg_gate_prob, [0.5, 0.5])
         assert np.allclose(stats.token_fraction, [0.5, 0.5])
+        assert abs(stats.balance_loss - 1.0) < 1e-12
 
     def test_single_expert(self):
         stats = route_probs(np.ones((3, 1)))
-        assert stats.avg_gate_prob.tolist() == [1.0] and stats.token_fraction.tolist() == [1.0]
+        assert stats.token_fraction.tolist() == [1.0] and stats.balance_loss == 1.0
 
     def test_no_tokens_rejected(self):
         with pytest.raises(ValueError):
@@ -96,35 +102,45 @@ class TestLoadBalanceStats:
 
 
 class TestAuxLoss:
+    """The Switch auxiliary balance loss as moe_forward computes it, against
+    N * dot(P, f) in plain numpy."""
+
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_uniform_is_one(self, n):
-        u = np.full(n, 1.0 / n)
-        assert abs(aux_loss(u, u).item() - 1.0) < 1e-12
+        # token i prefers expert i, and every expert's mean probability is 1/n
+        probs = np.full((n, n), 0.5 / n) + np.eye(n) * 0.5
+        stats = route_probs(probs)
+        assert stats.selected.tolist() == list(range(n))
+        assert abs(stats.balance_loss - 1.0) < 1e-12
 
     def test_one_hot_is_n(self):
-        onehot = np.array([0.0, 0.0, 1.0, 0.0])
-        assert aux_loss(onehot, onehot).item() == 4.0
+        rng = np.random.default_rng(14)
+        layer = make_layer(rng, d=4, n_experts=4)
+        layer.gate_weight.data[:] = -50.0
+        layer.gate_weight.data[2] = 50.0
+        x = np.abs(rng.normal(size=(9, 4))) + 0.5
+        _, stats = moe_forward(Tensor(x), layer)
+        assert (stats.selected == 2).all()
+        assert stats.balance_loss == reference_balance(x, layer, stats.selected) == 4.0
 
     def test_hand_dot_product(self):
-        got = aux_loss([0.6, 0.4], [0.7, 0.3]).item()
-        assert abs(got - 2 * (0.6 * 0.7 + 0.4 * 0.3)) < 1e-15
-        assert abs(got - 1.08) < 1e-12
+        # mean probabilities [0.6, 0.4]; 7 of 10 tokens pick expert 0
+        stats = route_probs([[0.75, 0.25]] * 7 + [[0.25, 0.75]] * 3)
+        assert np.allclose(stats.token_fraction, [0.7, 0.3], atol=1e-15)
+        assert abs(stats.balance_loss - 2 * (0.6 * 0.7 + 0.4 * 0.3)) < 1e-12
+        assert abs(stats.balance_loss - 1.08) < 1e-12
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            aux_loss([0.5, 0.5], [1.0])
-
-    def test_lower_bound_one_on_simplex(self):
-        # with p == f, loss = N * sum(f^2) >= 1 by Cauchy-Schwarz, equality iff uniform
+    def test_random_layers_match_numpy_reference(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
-            n = int(rng.integers(2, 12))
-            f = rng.dirichlet(np.ones(n))
-            val = aux_loss(f, f).item()
-            assert val >= 1.0 - 1e-12
-            assert val <= n + 1e-12
-        u = np.full(6, 1 / 6)
-        assert abs(aux_loss(u, u).item() - 1.0) < 1e-12
+            n = int(rng.integers(1, 9))
+            layer = make_layer(rng, d=5, n_experts=n)
+            x = rng.normal(size=(int(rng.integers(1, 30)), 5))
+            _, stats = moe_forward(Tensor(x), layer)
+            want = reference_balance(x, layer, stats.selected)
+            assert abs(stats.balance_loss - want) <= 1e-12 * want
+            assert 0.0 < stats.balance_loss <= n + 1e-12
+            assert stats.balance_loss == stats.balance.item()
 
 
 class TestMoeForward:
@@ -133,7 +149,7 @@ class TestMoeForward:
         layer = make_layer(rng, d=5, n_experts=1)
         for _ in range(10):
             x = Tensor(rng.normal(size=(7, 5)))
-            y, stats, _ = moe_forward(x, layer)
+            y, stats = moe_forward(x, layer)
             dense = ffn_forward(x, layer.experts[0])
             assert np.array_equal(y.data, dense.data)
             assert stats.balance_loss == 1.0
@@ -148,7 +164,7 @@ class TestMoeForward:
             ex.b2.data = layer.experts[0].b2.data.copy()
         layer.gate_weight.data[:] = 0.0
         x = Tensor(rng.normal(size=(6, 4)))
-        y, stats, _ = moe_forward(x, layer)
+        y, stats = moe_forward(x, layer)
         expected = ffn_forward(x, layer.experts[0]).data * 0.25
         assert np.allclose(y.data, expected, atol=1e-15)
         assert (stats.selected == 0).all()  # uniform probs tie-break to expert 0
@@ -159,7 +175,7 @@ class TestMoeForward:
         rng = np.random.default_rng(5)
         layer = make_layer(rng, d=2, n_experts=2)
         x = rng.normal(size=(9, 2))
-        y, stats, _ = moe_forward(Tensor(x), layer)
+        y, stats = moe_forward(Tensor(x), layer)
 
         logits = x @ layer.gate_weight.data.T
         z = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -180,13 +196,12 @@ class TestMoeForward:
         for trial in range(20):
             layer = make_layer(rng, d=3, n_experts=int(rng.integers(1, 6)))
             x = Tensor(rng.normal(size=(int(rng.integers(1, 12)), 3)))
-            _, stats, _ = moe_forward(x, layer)
+            _, stats = moe_forward(x, layer)
             assert stats.selected.shape == (x.shape[0],)
             counts = np.bincount(stats.selected, minlength=layer.n_experts)
             assert len(counts) == layer.n_experts and counts.sum() == x.shape[0]
             assert abs(stats.token_fraction.sum() - 1.0) < 1e-9
-            assert abs(stats.avg_gate_prob.sum() - 1.0) < 1e-9
-            _, probs = gate(x, layer.gate_weight)
+            probs = gate(x, layer.gate_weight)
             assert np.allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
             assert 0.0 < stats.balance_loss <= layer.n_experts + 1e-12
 
@@ -199,8 +214,8 @@ class TestMoeForward:
             params += [ex.w1, ex.b1, ex.w2, ex.b2]
 
         def loss():
-            y, _, balance = moe_forward(Tensor(x), layer)
-            return (y * y).sum() + balance * 0.01
+            y, stats = moe_forward(Tensor(x), layer)
+            return (y * y).sum() + stats.balance * 0.01
 
         assert grad_check(loss, params, h=1e-5, samples=60, seed=1) < 1e-4
 
@@ -217,14 +232,14 @@ class TestMoeForward:
         else:
             layer.gate_weight.data[0, 0] = 10.0
             layer.gate_weight.data[1:, 0] = -10.0
-        y, stats, _ = moe_forward(Tensor(x), layer)
+        y, stats = moe_forward(Tensor(x), layer)
         counts = np.bincount(stats.selected, minlength=4)
         if skew == "one_expert_idle":
             assert counts[3] == 0 and (counts > 0).sum() >= 2
         else:
             assert counts[0] == len(x)
         perm = rng.permutation(len(x))
-        y_perm, stats_perm, _ = moe_forward(Tensor(x[perm]), layer)
+        y_perm, stats_perm = moe_forward(Tensor(x[perm]), layer)
         assert np.array_equal(y_perm.data, y.data[perm])
         assert np.array_equal(stats_perm.selected, stats.selected[perm])
 
@@ -234,7 +249,7 @@ class TestMoeForward:
         layer.gate_weight.data[0, :] = 5.0   # push every token to expert 0
         layer.gate_weight.data[1, :] = -5.0
         x = Tensor(np.abs(rng.normal(size=(5, 3))))
-        y, stats, _ = moe_forward(x, layer)
+        y, stats = moe_forward(x, layer)
         assert (stats.selected == 0).all()
         (y * y).sum().backward()
         assert layer.experts[0].w1.grad is not None
@@ -247,8 +262,8 @@ class TestMoeForward:
         rng = np.random.default_rng(10)
         layer = make_layer(rng, d=3, n_experts=3)
         x = Tensor(rng.normal(size=(8, 3)))
-        _, _, balance = moe_forward(x, layer)
-        balance.backward()
+        _, stats = moe_forward(x, layer)
+        stats.balance.backward()
         assert layer.gate_weight.grad is not None
         assert np.abs(layer.gate_weight.grad).max() > 0
         for ex in layer.experts:
@@ -260,8 +275,7 @@ class TestMoeForward:
         x = rng.normal(size=(10, 4))
 
         def loss():
-            _, _, balance = moe_forward(Tensor(x), layer)
-            return balance
+            return moe_forward(Tensor(x), layer)[1].balance
 
         # only the gate weight is differentiable here; token assignments are
         # locally constant almost everywhere so FD stays clean

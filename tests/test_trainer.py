@@ -22,19 +22,16 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def balanced_stats(n_experts):
-    uniform = np.full(n_experts, 1.0 / n_experts)
+def routing_record(balance, n_experts=4):
     selected = np.arange(4) % n_experts
-    return RoutingStats(selected=selected, avg_gate_prob=uniform,
+    return RoutingStats(selected=selected,
                         token_fraction=np.bincount(selected, minlength=n_experts) / 4,
-                        balance_loss=1.0)
+                        balance=Tensor(balance))
 
 
-def injected_output(aux_values, rows=3, vocab=8):
-    logits = np.zeros((rows, vocab))
-    return ForwardOutput(logits=Tensor(logits),
-                         moe_stats=[balanced_stats(4) for _ in aux_values],
-                         balance_losses=list(aux_values))
+def injected_output(balances, rows=3, vocab=8):
+    return ForwardOutput(logits=Tensor(np.zeros((rows, vocab))),
+                         moe_stats=[routing_record(b) for b in balances])
 
 
 class TestTotalLoss:
@@ -50,7 +47,7 @@ class TestTotalLoss:
         assert got.moe_loss == 0.01 * 12.0
 
     def test_hand_built_stats(self):
-        # one layer with avg-gate-prob == token-fraction == [0.6, 0.4]
+        # one layer with mean gate probability == token fraction == [0.6, 0.4]
         aux = 2 * (0.6 * 0.6 + 0.4 * 0.4)
         got = total_loss(injected_output([aux]), np.zeros(3, dtype=int), alpha=0.01)
         assert abs(got.moe_loss - 0.0104) < 1e-12
@@ -58,9 +55,9 @@ class TestTotalLoss:
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            aux = rng.uniform(1.0, 4.0, size=rng.integers(0, 5)).tolist()
+            aux = rng.uniform(1.0, 4.0, size=rng.integers(1, 5)).tolist()
             logits = Tensor(rng.normal(size=(4, 9)))
-            out = ForwardOutput(logits=logits, moe_stats=[], balance_losses=aux)
+            out = ForwardOutput(logits=logits, moe_stats=[routing_record(a) for a in aux])
             got = total_loss(out, rng.integers(0, 9, size=4), alpha=0.01)
             assert abs(got.total_loss - (got.lm_loss + got.moe_loss)) < 1e-12
 
@@ -68,6 +65,13 @@ class TestTotalLoss:
         out = injected_output([1.0])
         with pytest.raises(ShapeError):
             total_loss(out, np.zeros(5, dtype=int), alpha=0.01)
+
+    def test_sequence_and_batch_of_one_agree(self):
+        model = Model(tiny_config(seed=6))
+        toks = np.random.default_rng(6).integers(0, 512, size=12)
+        single = total_loss(model.forward(toks[:-1]), toks[1:], alpha=0.01)
+        batch = total_loss(model.forward(toks[None, :-1]), toks[None, 1:], alpha=0.01)
+        assert (single.lm_loss, single.moe_loss) == (batch.lm_loss, batch.moe_loss)
 
     def test_gradient_flows_through_both_terms(self):
         model = Model(tiny_config(seed=2))
@@ -208,8 +212,11 @@ class TestTrainer:
         model = Model(tiny_config(n_layers=2, d_model=32, max_seq_len=16, seed=13))
         tr = Trainer(model, docs, word_tokenizer,
                      LrSchedule.for_total_steps(5e-3, 150), batch_size=1, seed=13)
-        rows = tr.run(150, stop_lm_loss=0.2)
-        assert rows[-1].lm_loss < 0.2
+        for _ in range(150):
+            row = tr.run(1)[0]
+            if row.lm_loss < 0.2:
+                break
+        assert row.lm_loss < 0.2
 
         # greedy generation reproduces the memorized continuation token for token
         from moelab.model import generate
