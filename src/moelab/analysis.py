@@ -192,6 +192,8 @@ def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, in
     Each row correlates a and b over their common languages whose document
     count reaches the threshold; r is None when fewer than 3 survive.
     """
+    if not thresholds or not all(map(math.isfinite, thresholds)):
+        raise ValueError(f"thresholds must be finite numbers, at least one, got {thresholds!r}")
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be sorted ascending")
     b_codes = set(b.codes)

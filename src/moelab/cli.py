@@ -96,6 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_vocab(vocab_size: int, source: str, tok: Tokenizer) -> None:
+    if vocab_size != tok.vocab_size:
+        raise ValueError(f"{source} has vocab_size {vocab_size} but the tokenizer has "
+                         f"{tok.vocab_size}; they must be equal")
+
+
 def cmd_tokenizer_train(args) -> int:
     docs, _ = corpus_mod.load_jsonl(args.input)
     tok = Tokenizer.train((d.text for d in docs), args.vocab_size)
@@ -109,6 +115,7 @@ def cmd_train(args) -> int:
     config.seed = args.seed
     docs, _ = corpus_mod.load_jsonl(args.corpus)
     tok = Tokenizer.load(args.tokenizer)
+    _check_vocab(config.vocab_size, args.config, tok)
     net = model_mod.Model(config)
     schedule = trainer_mod.LrSchedule.for_total_steps(args.lr, args.steps)
     trainer = trainer_mod.Trainer(net, docs, tok, schedule,
@@ -124,6 +131,7 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
+    _check_vocab(net.config.vocab_size, args.checkpoint, tok)
     prompt = [BOS_ID] + tok.encode(args.prompt)
     ids = model_mod.generate(net, prompt, args.max_new_tokens,
                              temperature=args.temperature, seed=args.seed)

@@ -96,8 +96,9 @@ def read_doc_counts_tsv(path: str) -> dict[str, int]:
     out: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
-        if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
-            raise FormatError(f"{path}: line {lineno}: expected 'lang\\tcount'")
+        if len(parts) != 2 or not parts[1].isdecimal():
+            raise FormatError(f"{path}: line {lineno}: expected 'lang\\tcount' with a "
+                              f"non-negative integer count, got {line!r}")
         out[parts[0]] = int(parts[1])
     return out
 

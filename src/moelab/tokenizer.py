@@ -4,13 +4,23 @@ The base vocabulary is all 256 single bytes, so any UTF-8 string encodes and
 decodes losslessly regardless of training data. Merge rules are learned
 greedily by pair frequency, ties broken by the lexicographically smallest
 (left_id, right_id) pair so training is deterministic.
+
+Here a token sequence is a `str` of one character per id: bytes become
+characters by a latin-1 decode, and merged id n is `chr(n)`. Merging (a, b)
+into n is `s.replace(chr(a) + chr(b), chr(n))`, whose leftmost,
+non-overlapping scan is the BPE rule ("aaa" with (a, a) becomes "na"); as
+characters compare by id, pairs sort as their id pairs do. `encode` applies
+each merge once, in rank order. That equals merging the lowest-rank pair
+present until none is left: merge r removes its pair for good, because later
+merges only create pairs that hold their own new id, and those rank higher.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .errors import FormatError
 from .fileio import atomic_write_text
@@ -22,19 +32,8 @@ _SPECIALS = {"pad": PAD_ID, "bos": BOS_ID, "eos": EOS_ID}
 _FIRST_MERGE_ID = 256 + len(_SPECIALS)
 
 
-def _merge_seq(seq: list[int], pair: tuple[int, int], new_id: int) -> list[int]:
-    a, b = pair
-    out = []
-    i = 0
-    n = len(seq)
-    while i < n:
-        if i + 1 < n and seq[i] == a and seq[i + 1] == b:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(seq[i])
-            i += 1
-    return out
+def _pairs(s: str) -> Iterator[str]:  # adjacent pairs as two-character strings
+    return map(add, s, s[1:])
 
 
 class Tokenizer:
@@ -44,7 +43,6 @@ class Tokenizer:
         self.vocab: list[bytes] = [bytes([i]) for i in range(256)]
         self.vocab += [b""] * len(_SPECIALS)  # pad/bos/eos carry no bytes
         self.merges: list[tuple[int, int]] = []
-        self.ranks: dict[tuple[int, int], int] = {}
         self.specials = dict(_SPECIALS)
         for left, right in merges:
             self._add_merge(left, right)
@@ -58,7 +56,6 @@ class Tokenizer:
         for ref in (left, right):
             if not 0 <= ref < next_id or self.vocab[ref] == b"":
                 raise FormatError(f"merge {len(self.merges)} references invalid id {ref}")
-        self.ranks[(left, right)] = len(self.merges)
         self.merges.append((left, right))
         self.vocab.append(self.vocab[left] + self.vocab[right])
 
@@ -73,58 +70,36 @@ class Tokenizer:
         """
         if vocab_size < _FIRST_MERGE_ID:
             raise ValueError(f"vocab_size must be at least {_FIRST_MERGE_ID}, got {vocab_size}")
-        seqs = [list(text.encode("utf-8")) for text in corpus]
-        seqs = [s for s in seqs if s]
+        seqs = [text.encode("utf-8").decode("latin-1") for text in corpus if text]
         if not seqs:
             raise ValueError("cannot train a tokenizer on an empty corpus")
-
-        pair_counts: Counter[tuple[int, int]] = Counter()
-        pair_where: dict[tuple[int, int], set[int]] = {}
-        for si, seq in enumerate(seqs):
-            for pair in zip(seq, seq[1:]):
-                pair_counts[pair] += 1
-                pair_where.setdefault(pair, set()).add(si)
+        pair_counts = Counter(p for s in seqs for p in _pairs(s))
 
         tok = cls()
-        n_merges = vocab_size - _FIRST_MERGE_ID
-        for _ in range(n_merges):
-            if not pair_counts:
+        for new_id in range(_FIRST_MERGE_ID, vocab_size):
+            top = max(pair_counts.values(), default=0)
+            if top == 0:  # merged pairs stay behind as zero counts
                 break
-            top = max(pair_counts.values())
             best = min(p for p, c in pair_counts.items() if c == top)
-            new_id = len(tok.vocab)
-            tok._add_merge(*best)
-            for si in sorted(pair_where.get(best, ())):
-                old = seqs[si]
-                new = _merge_seq(old, best, new_id)
-                seqs[si] = new
-                before = Counter(zip(old, old[1:]))
-                after = Counter(zip(new, new[1:]))
-                for pair, c in before.items():
-                    pair_counts[pair] -= c
-                    if pair_counts[pair] <= 0:
-                        del pair_counts[pair]
-                for pair, c in after.items():
-                    pair_counts[pair] += c
-                    pair_where.setdefault(pair, set()).add(si)
-                for pair in before:
-                    if pair not in after:
-                        pair_where[pair].discard(si)
-            pair_where.pop(best, None)
+            tok._add_merge(*map(ord, best))
+            before, after = Counter(), Counter()  # pairs of the documents it changes
+            for i, s in enumerate(seqs):
+                if best in s:
+                    before.update(_pairs(s))
+                    seqs[i] = s = s.replace(best, chr(new_id))
+                    after.update(_pairs(s))
+            pair_counts.update(after)
+            pair_counts.subtract(before)
         return tok
 
     # -- encode / decode -------------------------------------------------------
 
     def encode(self, text: str) -> list[int]:
-        """Apply merge rules greedily in learned order (lowest rank first)."""
-        ids = list(text.encode("utf-8"))
-        while len(ids) >= 2:
-            pairs = set(zip(ids, ids[1:]))
-            best = min(pairs, key=lambda p: self.ranks.get(p, len(self.ranks)), default=None)
-            if best not in self.ranks:
-                break
-            ids = _merge_seq(ids, best, _FIRST_MERGE_ID + self.ranks[best])
-        return ids
+        """Apply the merge rules once each, in learned order."""
+        s = text.encode("utf-8").decode("latin-1")
+        for new_id, (left, right) in enumerate(self.merges, _FIRST_MERGE_ID):
+            s = s.replace(chr(left) + chr(right), chr(new_id))
+        return list(map(ord, s))
 
     def decode(self, ids: Sequence[int]) -> str:
         """Concatenate token bytes and decode UTF-8; invalid sequences become U+FFFD."""

@@ -19,7 +19,7 @@ SUBCOMMANDS = ["tokenizer-train", "train", "generate", "perplexity", "param-coun
 
 def small_config(tmp_path, **overrides):
     cfg = dict(n_layers=2, d_model=32, n_heads=2, max_seq_len=32,
-               vocab_size=512, n_experts=2, seed=0)
+               vocab_size=300, n_experts=2, seed=0)
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -130,6 +130,44 @@ class TestRuntimeFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and str(bad) in captured.err
+
+    def test_train_refuses_a_config_of_another_vocabulary(self, workspace, tmp_path, capsys):
+        config = small_config(tmp_path, vocab_size=512)
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.tsv"
+        assert main(["train", "--config", config, "--corpus", workspace["corpus"],
+                     "--tokenizer", workspace["tok"], "--steps", "2", "--batch-size", "2",
+                     "--seed", "7", "--checkpoint-out", str(ckpt), "--log", str(log)]) == 1
+        assert capsys.readouterr().err == (f"error: {config} has vocab_size 512 but the "
+                                           "tokenizer has 300; they must be equal\n")
+        assert not ckpt.exists() and not log.exists()
+
+    def test_generate_refuses_a_checkpoint_of_another_vocabulary(self, workspace, tmp_path,
+                                                                 capsys, monkeypatch):
+        from moelab.model import Model, ModelConfig
+        from moelab.trainer import save_checkpoint
+        config = ModelConfig.load(small_config(tmp_path, vocab_size=512))
+        ckpt = str(tmp_path / "wide.ckpt")
+        save_checkpoint(Model(config), ckpt)
+        monkeypatch.setattr(Model, "forward", None)  # any forward would raise TypeError
+        assert main(["generate", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
+                     "--prompt", "ab", "--max-new-tokens", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {ckpt} has vocab_size 512 but the tokenizer has "
+                                "300; they must be equal\n")
+
+    @pytest.mark.parametrize("thresholds", [",", "nan", "inf", "0,-inf"])
+    def test_correlate_refuses_empty_or_non_finite_thresholds(self, workspace, tmp_path,
+                                                              capsys, thresholds):
+        counts = tmp_path / "counts.tsv"
+        counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
+        assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
+                     "--doc-counts", str(counts), "--thresholds", thresholds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        listed = [float(t) for t in thresholds.split(",") if t]
+        assert captured.err == ("error: thresholds must be finite numbers, at least one, "
+                                f"got {listed!r}\n")
 
 
 class TestPipeline:
@@ -274,15 +312,15 @@ def test_synth_corpus_files_parse(workspace):
     assert truth.codes == ["aa", "ab", "ba", "bb"]
 
 
-def tensor_functions():
-    """The code of every function and method defined in tensor.py, closures included,
-    except grad_check (the tests' reference) and __repr__."""
+def module_functions(module, exempt=()):
+    """The code of every function and method defined in `module`, closures
+    included, except those named in `exempt`."""
     import inspect
     import types
 
-    from moelab import tensor
-
-    members = list(vars(tensor).values()) + list(vars(tensor.Tensor).values())
+    members = list(vars(module).values())
+    members += [v for c in members if inspect.isclass(c) and c.__module__ == module.__name__
+                for v in vars(c).values()]
     todo = []
     for m in members:
         m = getattr(m, "fget", getattr(m, "__func__", m))  # properties, staticmethods
@@ -291,18 +329,19 @@ def tensor_functions():
     found = set()
     while todo:
         code = todo.pop()
-        if code.co_filename == tensor.__file__ and code.co_name not in ("grad_check",
-                                                                         "__repr__"):
+        if code.co_filename == module.__file__ and code.co_name not in exempt:
             found.add(code)
             todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
     return {c for c in found if not c.co_name.startswith("<") or c.co_name == "<lambda>"}
 
 
 def test_product_paths_enter_every_tensor_function(workspace, tmp_path, capsys):
-    """The autodiff engine holds nothing that training, decoding, scoring and
-    routing analysis leave unused."""
+    """The autodiff engine and the tokenizer hold nothing that tokenizer
+    training, model training, decoding, scoring and routing analysis leave
+    unused; grad_check (the tests' reference) and __repr__ are exempt."""
     import sys
 
+    from moelab import tensor, tokenizer
     from moelab.model import generate
     from moelab.trainer import load_checkpoint
 
@@ -315,6 +354,8 @@ def test_product_paths_enter_every_tensor_function(workspace, tmp_path, capsys):
     common = ["--checkpoint", workspace["ckpt"], "--tokenizer", workspace["tok"]]
     sys.setprofile(record)
     try:
+        assert main(["tokenizer-train", "--input", workspace["corpus"], "--vocab-size", "300",
+                     "--output", str(tmp_path / "tok.json")]) == 0
         assert main(["train", "--config", workspace["config"], "--corpus", workspace["corpus"],
                      "--tokenizer", workspace["tok"], "--steps", "2", "--batch-size", "2",
                      "--seed", "5", "--checkpoint-out", str(tmp_path / "m.ckpt"),
@@ -330,6 +371,7 @@ def test_product_paths_enter_every_tensor_function(workspace, tmp_path, capsys):
     finally:
         sys.setprofile(None)
     capsys.readouterr()
-    unused = sorted(f"{c.co_name} (line {c.co_firstlineno})"
-                    for c in tensor_functions() - entered)
-    assert not unused, f"tensor.py functions no product path enters: {unused}"
+    for module, exempt in ((tensor, ("grad_check", "__repr__")), (tokenizer, ())):
+        unused = sorted(f"{c.co_name} (line {c.co_firstlineno})"
+                        for c in module_functions(module, exempt) - entered)
+        assert not unused, f"{module.__name__} functions no product path enters: {unused}"

@@ -87,6 +87,15 @@ class TestDocCounts:
         with pytest.raises(FormatError):
             read_doc_counts_tsv(str(path))
 
+    @pytest.mark.parametrize("count", ["-3", "-0", "+3", "3.0", "", "three"])
+    def test_tsv_count_must_be_a_non_negative_integer(self, tmp_path, count):
+        path = tmp_path / "counts.tsv"
+        path.write_text(f"lang\tcount\nen\t3\nde\t{count}\n")
+        with pytest.raises(FormatError) as exc:
+            read_doc_counts_tsv(str(path))
+        assert str(exc.value).startswith(f"{path}: line 3: ")
+        assert repr(f"de\t{count}") in str(exc.value)
+
 
 class TestSampleBatch:
     def test_single_language_only(self, byte_tokenizer):

@@ -1,10 +1,13 @@
 """Byte-level BPE: training determinism, lossless roundtrip, persistence."""
 
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from moelab.corpus import synth_corpus
 from moelab.errors import FormatError
 from moelab.tokenizer import BOS_ID, EOS_ID, PAD_ID, Tokenizer
 
@@ -217,3 +220,102 @@ def test_load_rejects_malformed_payload_naming_path_and_field(tmp_path, case):
     with pytest.raises(FormatError) as exc:
         Tokenizer.load(str(path))
     assert str(path) in str(exc.value) and field in str(exc.value)
+
+
+# -- reference paths: BPE on int lists, as textbooks write it --------------------
+
+FIRST_MERGE_ID = 259
+
+
+def reference_merge(ids, pair, new_id):
+    out, i = [], 0
+    while i < len(ids):
+        if tuple(ids[i:i + 2]) == pair:
+            out.append(new_id)
+            i += 2
+        else:
+            out.append(ids[i])
+            i += 1
+    return out
+
+
+def reference_train(corpus, vocab_size):
+    """Recount every pair of every document before each merge."""
+    seqs = [list(text.encode("utf-8")) for text in corpus]
+    merges = []
+    for new_id in range(FIRST_MERGE_ID, vocab_size):
+        counts = Counter(p for s in seqs for p in zip(s, s[1:]))
+        if not counts:
+            break
+        top = max(counts.values())
+        best = min(p for p, c in counts.items() if c == top)
+        merges.append(best)
+        seqs = [reference_merge(s, best, new_id) for s in seqs]
+    return merges
+
+
+def reference_encode(merges, text):
+    """Merge the lowest-rank pair present until no learned pair is left."""
+    ranks = {pair: r for r, pair in enumerate(merges)}
+    ids = list(text.encode("utf-8"))
+    while True:
+        present = [p for p in zip(ids, ids[1:]) if p in ranks]
+        if not present:
+            return ids
+        best = min(present, key=ranks.get)
+        ids = reference_merge(ids, best, FIRST_MERGE_ID + ranks[best])
+
+
+REFERENCE_CASES = {
+    "runs of one byte": (["a" * 9, "aaa", "ba" + "a" * 6 + "b"], 270),
+    "two-byte utf-8": (["äöü äöü ßß", "ÄÖÜ über öl"], 280),
+    "three-byte utf-8": (["日本語の日本語", "語語語"], 280),
+    "astral utf-8": (["😀😀🎉 𝔘𝔫𝔦𝔠𝔬𝔡𝔢", "😀🎉😀🎉"], 300),
+    "ties in pair count": (["cd ab", "dc ba"], 264),
+    "pairs run out": (["ab", "b"], 400),
+    "one-byte documents": (["a", "b", "c"], 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_train_and_encode_match_the_reference(case):
+    corpus, vocab_size = REFERENCE_CASES[case]
+    tok = Tokenizer.train(corpus, vocab_size)
+    assert tok.merges == reference_train(corpus, vocab_size)
+    for text in corpus + ["".join(corpus), "aaaaa", "ab" * 5, "😀" * 3, ""]:
+        assert tok.encode(text) == reference_encode(tok.merges, text)
+
+
+def test_random_corpora_match_the_reference():
+    rnd = random.Random(7)
+    alphabet = "ab c" + "äß" + "語" + "😀"
+    for _ in range(20):
+        corpus = ["".join(rnd.choices(alphabet, k=rnd.randrange(0, 30)))
+                  for _ in range(rnd.randrange(1, 6))]
+        if not any(corpus):
+            continue
+        vocab_size = FIRST_MERGE_ID + rnd.randrange(0, 40)
+        tok = Tokenizer.train(corpus, vocab_size)
+        assert tok.merges == reference_train(corpus, vocab_size)
+        for _ in range(10):
+            text = "".join(rnd.choices(alphabet + "xyz", k=rnd.randrange(0, 40)))
+            assert tok.encode(text) == reference_encode(tok.merges, text)
+
+
+def test_pinned_merges_and_ids_on_the_benchmark_corpus(tmp_path):
+    """The merges, every document's ids and the saved file hash as they did under the
+    earlier pair-index trainer and rank-lookup encoder."""
+    docs, _ = synth_corpus(3, 3, 40, 400, 101)
+    tok = Tokenizer.train((d.text for d in docs), 300)
+    ids = [tok.encode(d.text) for d in docs]
+    tok.save(str(tmp_path / "tok.json"))
+
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha(json.dumps(tok.merges).encode()) == (
+        "6d10f16b54199ce4e25a6d802bcbc4e88b8cf30bbe8635f2de8cf4f85b4ed80e")
+    assert sha(json.dumps(ids).encode()) == (
+        "4c89967f689f633b9aca222af24e89fc387f80688ecd9c344395196a88036dce")
+    assert sha((tmp_path / "tok.json").read_bytes()) == (
+        "36bbb40efc358f630c270cf3ccab7177669bf4c8dab013fbfa4de9c8e15095cd")
