@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .fileio import atomic_write_text
-from .model import moe_layer_indices
 from .tensor import no_grad
 
 CHUNK = 16  # sequences per no-grad forward pass in collect_activations
@@ -106,20 +105,18 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
         if lang not in present:
             raise ValueError(f"language {lang!r} not present in corpus")
     n_experts = model.config.n_experts
-    n_slots = len(moe_layer_indices(model.config)) * n_experts
     vectors = []
     for lang in languages:
         rng = np.random.default_rng([seed, present.index(lang)])
         lang_docs = [d for d in docs if d.lang == lang]
         seqs = pack_sequences(lang_docs, sequences_per_lang, seq_len, tokenizer, rng)
         seqs = seqs[:, :seq_len]  # routing needs inputs only, no shifted targets
-        counts = np.zeros(n_slots, dtype=np.int64)
+        counts = 0
         for start in range(0, len(seqs), CHUNK):
             with no_grad():
                 out = model.forward(seqs[start:start + CHUNK], logits=False)
-            for layer, stats in enumerate(out.moe_stats):
-                counts[layer * n_experts:(layer + 1) * n_experts] += np.bincount(
-                    stats.selected, minlength=n_experts)
+            counts += np.concatenate(
+                [np.bincount(s.selected, minlength=n_experts) for s in out.moe_stats])
         vectors.append(ActivationVector(lang, counts, n_experts))
     return vectors
 
@@ -154,9 +151,8 @@ def distance_matrix(vectors: list[ActivationVector]) -> DistanceMatrix:
             raise ValueError(f"activation vector for language {v.lang!r} is all zero")
     unit = rows / norms[:, None]
     diff = unit[:, None, :] - unit[None, :, :]
-    values = np.linalg.norm(diff, axis=2) / math.sqrt(2.0)
-    values = np.clip((values + values.T) / 2.0, 0.0, 1.0)
-    np.fill_diagonal(values, 0.0)
+    # exactly symmetric with a zero diagonal as computed; rounding can pass 1
+    values = np.clip(np.linalg.norm(diff, axis=2) / math.sqrt(2.0), 0.0, 1.0)
     return DistanceMatrix([v.lang for v in vectors], values)
 
 
@@ -241,21 +237,21 @@ def write_matrix_tsv(matrix: DistanceMatrix, path: str) -> None:
 def read_matrix_tsv(path: str) -> DistanceMatrix:
     """Read a matrix as write_matrix_tsv writes it; DistanceMatrix's checks apply unchanged."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("lang\t"):
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("lang\t"):
         raise FormatError(f"{path}: expected a 'lang\\t<codes...>' header")
-    codes = lines[0].split("\t")[1:]
+    codes = lines[0][1].split("\t")[1:]
     if len(lines) - 1 != len(codes):
         raise FormatError(f"{path}: {len(codes)} codes in header but {len(lines) - 1} rows")
     values = np.zeros((len(codes), len(codes)))
-    for i, line in enumerate(lines[1:]):
+    for i, (lineno, line) in enumerate(lines[1:]):
         parts = line.split("\t")
         if parts[0] != codes[i] or len(parts) != len(codes) + 1:
-            raise FormatError(f"{path}: row {i + 2} does not match the header ordering")
+            raise FormatError(f"{path}: line {lineno} does not match the header ordering")
         try:
             values[i] = [float(x) for x in parts[1:]]
         except ValueError as exc:
-            raise FormatError(f"{path}: row {i + 2}: {exc}") from exc
+            raise FormatError(f"{path}: line {lineno}: {exc}") from exc
     try:
         return DistanceMatrix(codes, values)
     except ValueError as exc:

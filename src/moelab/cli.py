@@ -157,8 +157,6 @@ def cmd_perplexity(args) -> int:
             cut_docs += 1
             cut_tokens += len(ids) - (max_len + 1)
             ids = ids[:max_len + 1]
-        if len(ids) < 2:
-            continue
         arr = np.asarray(ids)
         with no_grad():
             out = net.forward(arr[:-1])
@@ -199,7 +197,7 @@ def cmd_synth_corpus(args) -> int:
 def cmd_analyze_routing(args) -> int:
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
-    docs, stats = corpus_mod.load_jsonl(args.corpus)
+    docs, counts = corpus_mod.load_jsonl(args.corpus)
     vectors = analysis.collect_activations(net, tok, docs, args.sequences_per_lang,
                                            net.config.max_seq_len, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -207,7 +205,7 @@ def cmd_analyze_routing(args) -> int:
     analysis.write_matrix_tsv(analysis.distance_matrix(vectors),
                               os.path.join(args.out_dir, "distance.tsv"))
     analysis.write_heatmap_tsv(vectors, os.path.join(args.out_dir, "heatmap.tsv"))
-    corpus_mod.write_doc_counts_tsv(stats.counts, os.path.join(args.out_dir, "doc_counts.tsv"))
+    corpus_mod.write_doc_counts_tsv(counts, os.path.join(args.out_dir, "doc_counts.tsv"))
     print(f"analyzed {len(vectors)} languages -> {args.out_dir}")
     return 0
 

@@ -12,7 +12,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,6 @@ class Document:
     text: str
 
 
-@dataclass
-class CorpusStats:
-    counts: dict[str, int] = field(default_factory=dict)
-    total: int = 0
-
-
 def _normalize_lang(raw, where: str) -> str:
     if not isinstance(raw, str):
         raise FormatError(f"{where}: 'lang' must be a string, got {type(raw).__name__}")
@@ -52,8 +46,8 @@ def _normalize_lang(raw, where: str) -> str:
     return lang
 
 
-def load_jsonl(path: str) -> tuple[list[Document], CorpusStats]:
-    """Read `{"lang": ..., "text": ...}` objects, one per line, in file order."""
+def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
+    """`{"lang": ..., "text": ...}` lines as documents in file order, and counts per language."""
     docs: list[Document] = []
     counts: Counter[str] = Counter()
     with open(path, encoding="utf-8") as fh:
@@ -75,7 +69,7 @@ def load_jsonl(path: str) -> tuple[list[Document], CorpusStats]:
             lang = _normalize_lang(obj["lang"], where)
             docs.append(Document(lang, obj["text"]))
             counts[lang] += 1
-    return docs, CorpusStats(dict(counts), len(docs))
+    return docs, dict(counts)
 
 
 def write_jsonl(docs: list[Document], path: str) -> None:
@@ -90,15 +84,19 @@ def write_doc_counts_tsv(counts: dict[str, int], path: str) -> None:
 
 def read_doc_counts_tsv(path: str) -> dict[str, int]:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0].split("\t") != ["lang", "count"]:
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1].split("\t") != ["lang", "count"]:
         raise FormatError(f"{path}: expected header 'lang\\tcount'")
     out: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != 2 or not parts[1].isdecimal():
             raise FormatError(f"{path}: line {lineno}: expected 'lang\\tcount' with a "
                               f"non-negative integer count, got {line!r}")
+        if parts[0] in out:
+            first = next(n for n, ln in lines[1:] if ln.split("\t")[0] == parts[0])
+            raise FormatError(f"{path}: line {lineno}: language {parts[0]!r} already "
+                              f"counted on line {first}")
         out[parts[0]] = int(parts[1])
     return out
 

@@ -10,7 +10,8 @@ final layer norm.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,20 +46,21 @@ class ModelConfig:
     def validate(self) -> None:
         problems = []
         for name in ("n_layers", "d_model", "n_heads", "max_seq_len", "vocab_size",
-                     "n_experts"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_layers % 2 != 0:
+                     "n_experts", "seed"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if type(value) is not int or value < least:
+                problems.append(f"{name} must be an integer >= {least}, got {value!r}")
+        sizes_ok = not problems
+        if sizes_ok and self.n_layers % 2 != 0:
             problems.append(f"n_layers must be even, got {self.n_layers}")
-        if self.n_heads >= 1 and self.d_model % self.n_heads != 0:
+        if sizes_ok and self.d_model % self.n_heads != 0:
             problems.append(f"n_heads={self.n_heads} does not divide d_model={self.d_model}")
-        if self.alpha < 0:
-            problems.append(f"alpha must be non-negative, got {self.alpha}")
+        alpha = self.alpha
+        if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                or not math.isfinite(alpha) or alpha < 0):
+            problems.append(f"alpha must be a finite number >= 0, got {alpha!r}")
         if problems:
             raise ConfigError("; ".join(problems))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
@@ -83,12 +85,6 @@ class ModelConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(data)
-
-
-def paper_config() -> ModelConfig:
-    """The reference full-scale instantiation (not buildable on a desk; countable)."""
-    return ModelConfig(n_layers=24, d_model=2048, n_heads=16, max_seq_len=2048,
-                       vocab_size=100_000, n_experts=16)
 
 
 def desk_config(**overrides) -> ModelConfig:

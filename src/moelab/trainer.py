@@ -10,13 +10,13 @@ the original trajectory exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import Document, sample_batch
-from .errors import FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .fileio import atomic_write_text
 from .model import ForwardOutput, Model, ModelConfig
 from .optim import AdamState, adam_step, clip_global_norm
@@ -206,7 +206,7 @@ class Trainer:
 
 def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> None:
     """Write config + parameters (and, when given, optimizer state) to `path`."""
-    header: dict = {"model": model.config.to_dict(), "state": None}
+    header: dict = {"model": asdict(model.config), "state": None}
     tensors = {name: p.data for name, p in model.named_parameters().items()}
     if trainer is not None:
         header["state"] = {
@@ -232,7 +232,10 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
     header, tensors = read_checkpoint(path)
     if not isinstance(header.get("model"), dict):
         raise FormatError(f"{path}: checkpoint header lacks a model config")
-    config = ModelConfig.from_dict(header["model"])
+    try:
+        config = ModelConfig.from_dict(header["model"])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     state = header.get("state")
     if state is not None:
         _check_state(path, state)

@@ -143,21 +143,36 @@ class TestDistanceMatrix:
         dm = distance_matrix([vec("aa", [7, 0]), vec("bb", [0, 3])])
         assert abs(dm.values[0, 1] - 1.0) < 1e-12
 
+    def test_rounding_past_one_is_clipped(self):
+        # unclipped, this disjoint pair's distance rounds to 1.0000000000000002
+        dm = distance_matrix([vec("aa", [19, 29, 0, 0]), vec("bb", [0, 0, 34, 15])])
+        assert dm.values[0, 1] == 1.0
+
     def test_hand_euclidean(self):
         dm = distance_matrix([vec("aa", [1, 1]), vec("bb", [1, 0])])
         assert abs(dm.values[0, 1] - 0.5411961001461969) < 1e-9
 
     def test_invariants_on_random_sets(self):
+        # Counts hold zeros, so pairs with disjoint, partly shared and full
+        # supports all occur. Symmetry and the zero diagonal hold exactly by
+        # construction: distance_matrix does not enforce them.
         rng = np.random.default_rng(12)
+        supports = set()
         for _ in range(50):
             n_langs = int(rng.integers(2, 7))
             dim = int(rng.integers(1, 5)) * 2
-            vectors = [vec(f"l{chr(97 + i)}", rng.integers(0, 40, size=dim) + 1)
-                       for i in range(n_langs)]
-            dm = distance_matrix(vectors)
+            counts = rng.integers(0, 40, size=(n_langs, dim)) * (rng.random((n_langs, dim)) < 0.5)
+            counts[np.arange(n_langs), rng.integers(0, dim, size=n_langs)] += 1  # none all zero
+            dm = distance_matrix([vec(f"l{chr(97 + i)}", c) for i, c in enumerate(counts)])
             assert np.array_equal(dm.values, dm.values.T)
             assert (np.diag(dm.values) == 0).all()
             assert dm.values.min() >= 0.0 and dm.values.max() <= 1.0
+            for i, j in zip(*np.triu_indices(n_langs, 1)):
+                shared = int(((counts[i] > 0) & (counts[j] > 0)).sum())
+                supports.add("disjoint" if shared == 0 else "full" if shared == dim else "partial")
+                if shared == 0:
+                    assert abs(dm.values[i, j] - 1.0) < 1e-12
+        assert supports == {"disjoint", "partial", "full"}
 
     def test_zero_vector_names_language(self):
         with pytest.raises(ValueError, match="bb"):
@@ -328,6 +343,16 @@ class TestTsvFormats:
             rows[i + 1][j + 1] = value
         path.write_text("".join("\t".join(row) + "\n" for row in rows))
         with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*{problem}"):
+            read_matrix_tsv(str(path))
+
+    @pytest.mark.parametrize("text, problem", [
+        ("lang\taa\tbb\n\naa\t0\t0.5\n\nbb\t0.5\tx\n", "line 5: could not convert"),
+        ("lang\taa\tbb\n\n\naa\t0\t0.5\nbb\t0.5\n", "line 5 does not match"),
+    ], ids=["bad_cell", "short_row"])
+    def test_matrix_tsv_errors_name_the_file_line(self, tmp_path, text, problem):
+        path = tmp_path / "m.tsv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {problem}"):
             read_matrix_tsv(str(path))
 
     def test_vector_tsv_column_count(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,15 @@ import pytest
 
 import moelab
 from moelab.cli import main
-from moelab.model import param_count, paper_config
+from moelab.model import ModelConfig, param_count
 
 SUBCOMMANDS = ["tokenizer-train", "train", "generate", "perplexity", "param-count",
                "synth-corpus", "analyze-routing", "correlate"]
+
+
+# The paper's full-scale shape: not buildable on a desk, but countable.
+PAPER = ModelConfig(n_layers=24, d_model=2048, n_heads=16, max_seq_len=2048,
+                    vocab_size=100_000, n_experts=16)
 
 
 def small_config(tmp_path, **overrides):
@@ -77,17 +83,25 @@ class TestExitCodes:
 class TestParamCount:
     def test_paper_config_totals(self, tmp_path, capsys):
         path = tmp_path / "paper.json"
-        path.write_text(json.dumps(paper_config().to_dict()))
+        path.write_text(json.dumps(asdict(PAPER)))
         assert main(["param-count", "--config", str(path)]) == 0
         out = capsys.readouterr().out.strip()
         assert out.startswith("active=") and " total=" in out
         total = int(out.split("total=")[1])
         active = int(out.split("active=")[1].split()[0])
-        assert (active, total) == param_count(paper_config())
+        assert (active, total) == param_count(PAPER)
         assert abs(total - 7.46e9) / 7.46e9 < 0.01
 
 
 class TestRuntimeFailures:
+    @pytest.mark.parametrize("value", ["4", None, 4.0, True])
+    def test_param_count_rejects_a_non_integer_size(self, tmp_path, capsys, value):
+        path = small_config(tmp_path, n_experts=value)
+        assert main(["param-count", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_experts must be an integer >= 1, got {value!r}\n"
+
     def test_diverging_train_exits_one(self, workspace, tmp_path, capsys):
         # a huge peak lr blows the weights up at step 1; step 2 then sees a NaN loss
         ckpt = tmp_path / "never.ckpt"
@@ -306,8 +320,8 @@ class TestPipeline:
 def test_synth_corpus_files_parse(workspace):
     from moelab.analysis import read_matrix_tsv
     from moelab.corpus import load_jsonl
-    docs, stats = load_jsonl(workspace["corpus"])
-    assert stats.total == 2 * 2 * 8
+    docs, _ = load_jsonl(workspace["corpus"])
+    assert len(docs) == 2 * 2 * 8
     truth = read_matrix_tsv(workspace["truth"])
     assert truth.codes == ["aa", "ab", "ba", "bb"]
 
@@ -335,16 +349,21 @@ def module_functions(module, exempt=()):
     return {c for c in found if not c.co_name.startswith("<") or c.co_name == "<lambda>"}
 
 
-def test_product_paths_enter_every_tensor_function(workspace, tmp_path, capsys):
-    """The autodiff engine and the tokenizer hold nothing that tokenizer
-    training, model training, decoding, scoring and routing analysis leave
-    unused; grad_check (the tests' reference) and __repr__ are exempt."""
-    import sys
+def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
+    """No module of moelab holds a function that the eight subcommands and
+    sampled decoding leave unused, apart from the exemptions named below."""
+    import importlib
+    import pkgutil
 
-    from moelab import tensor, tokenizer
     from moelab.model import generate
     from moelab.trainer import load_checkpoint
 
+    exempt = {
+        "tensor": ("grad_check", "__repr__"),  # the tests' reference
+        "model": ("desk_config",),  # perfbench builds its shapes with it
+        "moe": ("balance_loss",),  # perfbench reports it per op
+        "trainer": ("resume",),  # bitwise-resume contract; no CLI path resumes yet
+    }
     entered = set()
 
     def record(frame, event, arg):
@@ -352,8 +371,18 @@ def test_product_paths_enter_every_tensor_function(workspace, tmp_path, capsys):
             entered.add(frame.f_code)
 
     common = ["--checkpoint", workspace["ckpt"], "--tokenizer", workspace["tok"]]
+    routing = tmp_path / "routing"
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
+    out_of_range = tmp_path / "bad.tsv"
+    out_of_range.write_text("lang\taa\tbb\naa\t0\t7\nbb\t7\t0\n")
+    truncated = tmp_path / "truncated.ckpt"
+    truncated.write_bytes(Path(workspace["ckpt"]).read_bytes()[:-1])
     sys.setprofile(record)
     try:
+        assert main(["synth-corpus", "--families", "2", "--langs-per-family", "2",
+                     "--docs-per-lang", "2", "--doc-len", "10", "--seed", "1",
+                     "--out", str(tmp_path / "c.jsonl"), "--truth", str(tmp_path / "t.tsv")]) == 0
         assert main(["tokenizer-train", "--input", workspace["corpus"], "--vocab-size", "300",
                      "--output", str(tmp_path / "tok.json")]) == 0
         assert main(["train", "--config", workspace["config"], "--corpus", workspace["corpus"],
@@ -366,12 +395,21 @@ def test_product_paths_enter_every_tensor_function(workspace, tmp_path, capsys):
         assert main(["perplexity", *common, "--corpus", workspace["corpus"],
                      "--lang", "aa"]) == 0
         assert main(["analyze-routing", *common, "--corpus", workspace["corpus"],
-                     "--sequences-per-lang", "1", "--seed", "2",
-                     "--out-dir", str(tmp_path / "routing")]) == 0
+                     "--sequences-per-lang", "1", "--seed", "2", "--out-dir", str(routing)]) == 0
+        distance = str(routing / "distance.tsv")
+        assert main(["correlate", "--a", distance, "--b", workspace["truth"]]) == 0
+        assert main(["correlate", "--a", distance, "--b", workspace["truth"],
+                     "--doc-counts", str(counts), "--thresholds", "0,9"]) == 0
+        assert main(["param-count", "--config", workspace["config"]]) == 0
+        # error-only helpers, each driven by one malformed input
+        assert main(["correlate", "--a", distance, "--b", str(out_of_range)]) == 1
+        assert main(["generate", "--checkpoint", str(truncated), "--tokenizer",
+                     workspace["tok"], "--prompt", "ab", "--max-new-tokens", "1"]) == 1
     finally:
         sys.setprofile(None)
     capsys.readouterr()
-    for module, exempt in ((tensor, ("grad_check", "__repr__")), (tokenizer, ())):
+    for info in pkgutil.iter_modules(moelab.__path__):
+        module = importlib.import_module(f"moelab.{info.name}")
         unused = sorted(f"{c.co_name} (line {c.co_firstlineno})"
-                        for c in module_functions(module, exempt) - entered)
+                        for c in module_functions(module, exempt.get(info.name, ())) - entered)
         assert not unused, f"{module.__name__} functions no product path enters: {unused}"

@@ -22,10 +22,9 @@ class TestLoadJsonl:
     def test_valid_lines(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"lang": "en", "text": "hello"}\n{"lang": "de", "text": "hallo"}\n')
-        docs, stats = load_jsonl(str(path))
+        docs, counts = load_jsonl(str(path))
         assert [d.lang for d in docs] == ["en", "de"]
-        assert stats.counts == {"en": 1, "de": 1}
-        assert stats.total == 2
+        assert counts == {"en": 1, "de": 1}
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -42,8 +41,8 @@ class TestLoadJsonl:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("")
-        docs, stats = load_jsonl(str(path))
-        assert docs == [] and stats.total == 0 and stats.counts == {}
+        docs, counts = load_jsonl(str(path))
+        assert docs == [] and counts == {}
 
     def test_lang_lowercased_and_validated(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -58,9 +57,9 @@ class TestLoadJsonl:
         docs = [Document("en", "hello there"), Document("el", "γειά σου")]
         path = tmp_path / "c.jsonl"
         write_jsonl(docs, str(path))
-        back, stats = load_jsonl(str(path))
+        back, counts = load_jsonl(str(path))
         assert back == docs
-        assert stats.total == 2
+        assert counts == {"en": 1, "el": 1}
 
 
 class TestDocCounts:
@@ -69,10 +68,10 @@ class TestDocCounts:
         rows = [json.dumps({"lang": "en", "text": "x"})] * 3 + \
                [json.dumps({"lang": "de", "text": "y"})]
         path.write_text("\n".join(rows) + "\n")
-        _, stats = load_jsonl(str(path))
-        assert stats.counts == {"de": 1, "en": 3}
-        assert stats.counts.get("xx", 0) == 0
-        assert sum(stats.counts.values()) == stats.total
+        docs, counts = load_jsonl(str(path))
+        assert counts == {"de": 1, "en": 3}
+        assert type(counts) is dict and "xx" not in counts
+        assert sum(counts.values()) == len(docs)
 
     def test_tsv_roundtrip(self, tmp_path):
         counts = {"en": 42, "de": 7}
@@ -95,6 +94,19 @@ class TestDocCounts:
             read_doc_counts_tsv(str(path))
         assert str(exc.value).startswith(f"{path}: line 3: ")
         assert repr(f"de\t{count}") in str(exc.value)
+
+    def test_tsv_errors_name_the_file_line(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("lang\tcount\n\naa\t3\n\nbb\t-3\n")
+        with pytest.raises(FormatError, match=r": line 5: .*'bb\\t-3'"):
+            read_doc_counts_tsv(str(path))
+
+    def test_tsv_repeated_language_names_both_lines(self, tmp_path):
+        path = tmp_path / "counts.tsv"
+        path.write_text("lang\tcount\naa\t3\n\naa\t5\n")
+        with pytest.raises(FormatError) as exc:
+            read_doc_counts_tsv(str(path))
+        assert str(exc.value) == f"{path}: line 4: language 'aa' already counted on line 2"
 
 
 class TestSampleBatch:

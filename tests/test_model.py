@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ import pytest
 from moelab import model as model_mod
 from moelab.errors import ConfigError, ShapeError
 from moelab.model import (FFN_MULTIPLIER, KVCache, Model, ModelConfig, desk_config, generate,
-                          moe_layer_indices, paper_config, param_count)
+                          moe_layer_indices, param_count)
 from moelab.tensor import no_grad
+
+
+# The paper's full-scale shape: not buildable on a desk, but countable.
+PAPER = ModelConfig(n_layers=24, d_model=2048, n_heads=16, max_seq_len=2048,
+                    vocab_size=100_000, n_experts=16)
 
 
 def tiny_config(**overrides):
@@ -33,22 +39,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_layerz"):
             ModelConfig.from_dict({"n_layerz": 2})
 
+    @pytest.mark.parametrize("field, value, problem", [
+        ("n_experts", "4", "n_experts must be an integer >= 1, got '4'"),
+        ("n_experts", None, "n_experts must be an integer >= 1, got None"),
+        ("n_experts", 4.0, "n_experts must be an integer >= 1, got 4.0"),
+        ("d_model", True, "d_model must be an integer >= 1, got True"),
+        ("vocab_size", 0, "vocab_size must be an integer >= 1, got 0"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("seed", 1.0, "seed must be an integer >= 0, got 1.0"),
+        ("alpha", float("nan"), "alpha must be a finite number >= 0, got nan"),
+        ("alpha", float("inf"), "alpha must be a finite number >= 0, got inf"),
+        ("alpha", -0.5, "alpha must be a finite number >= 0, got -0.5"),
+        ("alpha", "0.1", "alpha must be a finite number >= 0, got '0.1'"),
+        ("alpha", False, "alpha must be a finite number >= 0, got False"),
+    ])
+    def test_field_types_and_ranges_checked(self, field, value, problem):
+        data = {**asdict(tiny_config()), field: value}
+        with pytest.raises(ConfigError) as exc:
+            ModelConfig.from_dict(data)
+        assert str(exc.value) == problem
+
+    def test_integer_alpha_accepted(self):
+        assert ModelConfig.from_dict({**asdict(tiny_config()), "alpha": 0}).alpha == 0
+
     def test_json_roundtrip(self, tmp_path):
         cfg = tiny_config(alpha=0.02)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         assert ModelConfig.load(str(path)) == cfg
 
     def test_paper_reference_instantiation(self):
-        cfg = paper_config()
-        assert (cfg.n_layers, cfg.d_model, cfg.n_heads) == (24, 2048, 16)
-        assert (cfg.max_seq_len, cfg.vocab_size, cfg.n_experts) == (2048, 100_000, 16)
-        assert cfg.alpha == 0.01
+        PAPER.validate()
+        assert (PAPER.alpha, PAPER.seed) == (0.01, 0)  # the defaults are the paper's
 
 
 class TestPlacement:
     def test_paper_config_has_twelve_moe_layers(self):
-        assert len(moe_layer_indices(paper_config())) == 12
+        assert len(moe_layer_indices(PAPER)) == 12
 
     def test_four_layers_moe_at_one_and_three(self):
         assert moe_layer_indices(tiny_config(n_layers=4)) == [1, 3]
@@ -171,7 +198,7 @@ class TestForward:
 
 class TestParamCount:
     def test_paper_total_within_one_percent(self):
-        active, total = param_count(paper_config())
+        active, total = param_count(PAPER)
         assert abs(total - 7.46e9) / 7.46e9 < 0.01
         assert 0.17 <= active / total <= 0.20
 

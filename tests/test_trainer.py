@@ -367,8 +367,21 @@ class TestCheckpoint:
         path = str(tmp_path / "old.ckpt")
         save_checkpoint(Model(tiny_config()), path)
         self._rewrite(path, lambda header, tensors: header["model"].update(gelu_variant="exact"))
-        with pytest.raises(ConfigError, match="unknown config fields: \\['gelu_variant'\\]"):
+        with pytest.raises(ConfigError) as exc:
             load_checkpoint(path)
+        assert str(exc.value) == f"{path}: unknown config fields: ['gelu_variant']"
+
+    @pytest.mark.parametrize("edit, problem", [
+        ({"n_experts": "4"}, "n_experts must be an integer >= 1, got '4'"),
+        ({"alpha": float("nan")}, "alpha must be a finite number >= 0, got nan"),
+    ], ids=["string_size", "nan_alpha"])
+    def test_bad_config_in_header_names_the_file(self, tmp_path, edit, problem):
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(Model(tiny_config()), path)
+        self._rewrite(path, lambda header, tensors: header["model"].update(edit))
+        with pytest.raises(ConfigError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: {problem}"
 
     def test_resume_ignores_old_adam_keys(self, tmp_path, word_tokenizer):
         docs = word_docs(seed=3)
