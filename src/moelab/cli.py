@@ -140,13 +140,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_perplexity(args) -> int:
+    lang = None if args.lang is None else corpus_mod.normalize_lang(args.lang, "--lang")
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
     docs, _ = corpus_mod.load_jsonl(args.corpus)
-    if args.lang is not None:
-        docs = [d for d in docs if d.lang == args.lang]
+    if lang is not None:
+        docs = [d for d in docs if d.lang == lang]
         if not docs:
-            raise ValueError(f"no documents for language {args.lang!r}")
+            raise ValueError(f"no documents for language {lang!r}")
     nll_sum: dict[str, float] = {}
     tok_count: dict[str, int] = {}
     max_len = net.config.max_seq_len
@@ -211,15 +212,21 @@ def cmd_analyze_routing(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    a = analysis.read_matrix_tsv(args.a)
-    b = analysis.read_matrix_tsv(args.b)
     if (args.doc_counts is None) != (args.thresholds is None):
         raise ValueError("--doc-counts and --thresholds must be given together")
+    thresholds = []
+    for item in (args.thresholds or "").split(","):
+        if item.strip():
+            try:
+                thresholds.append(float(item))
+            except ValueError:
+                raise ValueError(f"--thresholds item {item!r} is not a number") from None
+    a = analysis.read_matrix_tsv(args.a)
+    b = analysis.read_matrix_tsv(args.b)
     if args.doc_counts is None:
         print(f"{analysis.pearson(a, b):.6f}")
         return 0
     counts = corpus_mod.read_doc_counts_tsv(args.doc_counts)
-    thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     rows = analysis.correlation_sweep(a, b, counts, thresholds)
     print(analysis.format_sweep_tsv(rows), end="")
     return 0

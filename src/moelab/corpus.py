@@ -37,7 +37,8 @@ class Document:
     text: str
 
 
-def _normalize_lang(raw, where: str) -> str:
+def normalize_lang(raw, where: str) -> str:
+    """A language code lowercased; FormatError naming `where` unless it is [a-z]{2,8}."""
     if not isinstance(raw, str):
         raise FormatError(f"{where}: 'lang' must be a string, got {type(raw).__name__}")
     lang = raw.lower()
@@ -66,7 +67,7 @@ def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
                 raise FormatError(f"{where}: missing field(s) {sorted(missing)}")
             if not isinstance(obj["text"], str):
                 raise FormatError(f"{where}: 'text' must be a string")
-            lang = _normalize_lang(obj["lang"], where)
+            lang = normalize_lang(obj["lang"], where)
             docs.append(Document(lang, obj["text"]))
             counts[lang] += 1
     return docs, dict(counts)

@@ -10,4 +10,9 @@ class ConfigError(ValueError):
 
 
 class FormatError(ValueError):
-    """An on-disk artifact (checkpoint, tokenizer, corpus, matrix) is malformed."""
+    """An on-disk artifact (checkpoint, tokenizer, corpus, matrix), or a code
+    that must match one (a --lang value), is malformed."""
+
+
+class GraphConsumedError(RuntimeError):
+    """A backward pass reached a graph node that an earlier backward pass used up."""

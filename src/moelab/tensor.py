@@ -2,17 +2,21 @@
 
 Every operation on tracked tensors records a backward closure; backward()
 walks the graph in reverse topological order and accumulates d(loss)/d(node)
-into .grad. Gradients add into existing .grad buffers until zero_grad() is
-called, so repeated backward passes require an explicit reset.
+into .grad. One backward pass uses its graph up: once a node's closure has
+run, the node drops its gradient, closure and parents, so interior gradients
+and the arrays only a closure saved are freed as the pass goes. Leaves keep
+their .grad, and a later pass over a newly built graph adds into it until
+zero_grad() is called. A backward that reaches a used node raises
+GraphConsumedError.
 
 Gradient ownership: a backward closure hands each parent an array that no
-other gradient holds (a freshly computed one, or a view of a part of the
-node's own gradient that no other parent gets; the node never reads it
-again), and _accum keeps that array as the parent's .grad without copying
-it. An op that hands one array to two parents (__add__) copies it for the
-second. So no two leaves' gradients share memory, and in-place updates of a
-leaf's .grad (clipping, the next +=) touch only that leaf. A non-leaf's
-.grad may change once its own backward has run, as its parents accumulate.
+other gradient holds (a freshly computed one, one of its own saved buffers,
+or a view of a part of the node's own gradient that no other parent gets;
+the node never reads it again), and _accum keeps that array as the parent's
+.grad without copying it. An op that hands one array to two parents
+(__add__) copies it for the second. So no two leaves' gradients share
+memory, and in-place updates of a leaf's .grad (clipping, the next +=) touch
+only that leaf.
 
 All compute is 64-bit: the finite-difference gradient checks in grad_check()
 need the headroom.
@@ -27,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ShapeError
+from .errors import GraphConsumedError, ShapeError
 
 _grad_enabled = True
 
@@ -71,7 +75,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once a backward used the node
         self._backward: Callable[[np.ndarray], None] | None = None
 
     # -- basic introspection -------------------------------------------------
@@ -119,16 +123,20 @@ class Tensor:
         return out
 
     def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into .grad for every tracked ancestor.
+        """Accumulate d(self)/d(leaf) into .grad for every tracked ancestor, using the graph up.
 
-        The root must be a scalar. Calling backward twice without zeroing
-        gradients adds the second pass on top of the first.
+        The root must be a scalar. Each interior node drops its .grad, closure
+        and parents as soon as its closure has run; leaves keep their .grad,
+        and a later backward over a new graph adds on top of it. Reaching a
+        node an earlier backward used (this root again, or a new graph built
+        on one of its nodes) raises GraphConsumedError before any gradient
+        is touched.
         """
         if self.data.size != 1:
             raise ValueError(f"backward root must be a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
         visited = {id(self)}
-        stack: list[tuple[Tensor, Iterable[Tensor]]] = [(self, iter(self._parents))]
+        stack: list[tuple[Tensor, Iterable[Tensor]]] = [(self, iter(self._parents or ()))]
         while stack:
             node, parents = stack[-1]
             nxt = next((p for p in parents if id(p) not in visited), None)
@@ -137,11 +145,20 @@ class Tensor:
                 stack.pop()
             else:
                 visited.add(id(nxt))
-                stack.append((nxt, iter(nxt._parents)))
+                stack.append((nxt, iter(nxt._parents or ())))
+        used = next((node for node in topo if node._parents is None), None)
+        if used is not None:
+            raise GraphConsumedError(
+                f"backward reached a {used!r} whose graph an earlier backward() used up "
+                "and freed; run the forward again to build a new graph")
         self._accum(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf or constant
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = node._parents = None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -281,17 +298,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
 
     def bwd(g: np.ndarray) -> None:
         gain._accum(_unbroadcast(g * xhat, gain.data.shape))
         bias._accum(_unbroadcast(g, bias.data.shape))
         dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        term = dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d \
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         x._accum(term * inv)
 
     return Tensor._op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
@@ -300,7 +316,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer `targets` under row-softmax of `logits`.
 
-    Backward is the fused (softmax - one_hot) / rows form.
+    Backward is the fused (softmax - one_hot) / rows form, written into the
+    probability buffer, so the op holds one logits-sized array beyond its input.
     """
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy expects a rank-2 logits matrix, got {logits.data.shape}")
@@ -317,18 +334,19 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     bad = np.nonzero((targets < 0) | (targets >= v))[0]
     if bad.size:
         raise ValueError(f"target id {targets[bad[0]]} at position {bad[0]} outside [0, {v})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    p = np.exp(z)
+    p = logits.data - logits.data.max(axis=1, keepdims=True)
+    picked = p[np.arange(n), targets]
+    np.exp(p, out=p)
     norm = p.sum(axis=1, keepdims=True)
     p /= norm
-    nll = np.log(norm[:, 0]) - z[np.arange(n), targets]
+    nll = np.log(norm[:, 0]) - picked
     loss = nll.mean()
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray) -> None:  # runs once, so p can become the gradient
         scale = float(g) / n
-        gp = p * scale
-        gp[np.arange(n), targets] -= scale
-        logits._accum(gp)
+        np.multiply(p, scale, out=p)
+        p[np.arange(n), targets] -= scale
+        logits._accum(p)
 
     return Tensor._op(np.asarray(loss), (logits,), bwd)
 

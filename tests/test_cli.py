@@ -184,6 +184,36 @@ class TestRuntimeFailures:
                                 f"got {listed!r}\n")
 
 
+    @pytest.mark.parametrize("flags", [["--thresholds", "0"], ["--doc-counts", "counts.tsv"]])
+    def test_correlate_checks_flag_pairing_before_reading_a_matrix(self, tmp_path, capsys,
+                                                                   flags):
+        missing = str(tmp_path / "missing.tsv")
+        assert main(["correlate", "--a", missing, "--b", missing, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --doc-counts and --thresholds must be given together\n"
+
+    @pytest.mark.parametrize("thresholds, bad", [("1,x", "x"), ("0,1.5.2,3", "1.5.2")])
+    def test_correlate_names_a_threshold_that_is_not_a_number(self, tmp_path, capsys,
+                                                              thresholds, bad):
+        missing = str(tmp_path / "missing.tsv")
+        assert main(["correlate", "--a", missing, "--b", missing, "--doc-counts", missing,
+                     "--thresholds", thresholds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --thresholds item {bad!r} is not a number\n"
+
+    @pytest.mark.parametrize("lang", ["a", "a1", "ab-cd", "abcdefghi", ""])
+    def test_perplexity_names_a_malformed_lang_before_loading(self, tmp_path, capsys, lang):
+        missing = str(tmp_path / "missing")
+        assert main(["perplexity", "--checkpoint", missing, "--tokenizer", missing,
+                     "--corpus", missing, "--lang", lang]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --lang: language code {lang!r} does not match "
+                                "[a-z]{2,8}\n")
+
+
 class TestPipeline:
     def test_training_log_format(self, workspace):
         lines = Path(workspace["log"]).read_text().splitlines()
@@ -255,6 +285,16 @@ class TestPipeline:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("aa\t")
         assert len(lines) == 3
+
+    def test_perplexity_lang_is_lowercased_like_the_corpus_codes(self, workspace, capsys):
+        tables = []
+        for lang in ("aa", "AA", "aA"):
+            assert main(["perplexity", "--checkpoint", workspace["ckpt"],
+                         "--tokenizer", workspace["tok"], "--corpus", workspace["corpus"],
+                         "--lang", lang]) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0].splitlines()[1].startswith("aa\t")
+        assert tables[1] == tables[0] and tables[2] == tables[0]
 
     def test_analyze_routing_outputs(self, workspace, capsys):
         out_dir = str(workspace["root"] / "routing")

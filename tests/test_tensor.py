@@ -1,16 +1,19 @@
 """Tensor engine: op-level oracles plus finite-difference gradient checks."""
 
+import hashlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from moelab.errors import ShapeError
-from moelab.model import attention
+from moelab.errors import GraphConsumedError, ShapeError
+from moelab.model import Model, attention, desk_config, generate
 from moelab.optim import AdamState, adam_step, clip_global_norm
 from moelab.tensor import (Tensor, concat, cross_entropy, embedding, gelu, grad_check,
                            layer_norm, linear, no_grad, softmax)
+from moelab.trainer import total_loss
 
 
 def matmul_oracle(a, b):
@@ -138,6 +141,15 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
 
+    def test_bitwise_equal_to_the_mean_formula(self):
+        rng = np.random.default_rng(8)
+        x, gain, bias = rng.normal(size=(3, 5, 128)) * 2 + 1, rng.normal(size=128), rng.normal(size=128)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        want = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
+        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5)
+        assert np.array_equal(got.data, want)
+
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log_vocab(self):
@@ -220,6 +232,115 @@ class TestBackward:
         with no_grad():
             y = x * 3.0
         assert not y.requires_grad
+
+    def test_second_backward_on_the_same_root_raises(self):
+        x = Tensor([2.0, 3.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        once = x.grad.copy()
+        with pytest.raises(GraphConsumedError, match="earlier backward"):
+            loss.backward()
+        assert np.array_equal(x.grad, once)
+
+    def test_new_graph_on_a_used_node_raises_before_touching_gradients(self):
+        x = Tensor([2.0, 3.0], requires_grad=True)
+        w = Tensor([1.0, -1.0], requires_grad=True)
+        y = x * x
+        y.sum().backward()
+        once = x.grad.copy()
+        with pytest.raises(GraphConsumedError, match="new graph"):
+            (y * w).sum().backward()
+        assert np.array_equal(x.grad, once) and w.grad is None
+        assert np.array_equal(y.data, [4.0, 9.0])  # forward values stay readable
+
+
+def graph_nodes(root):
+    """Every node reachable from root, root included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+def desk_model_and_batch():
+    """desk_config()'s model and one B=8, T=128 train batch."""
+    return Model(desk_config()), np.random.default_rng(12).integers(0, 4096, size=(8, 129))
+
+
+class TestBackwardUsesGraph:
+    def test_interior_nodes_hold_nothing_after_backward(self):
+        model = Model(desk_config(n_layers=2, d_model=16, n_heads=2, max_seq_len=8,
+                                  vocab_size=32, n_experts=3))
+        ids = np.random.default_rng(1).integers(0, 32, size=(2, 9))
+        loss = total_loss(model.forward(ids[:, :-1]), ids[:, 1:], model.config.alpha).node
+        nodes = graph_nodes(loss)
+        interior = [n for n in nodes if n._backward is not None]
+        assert len(interior) > 50
+        loss.backward()
+        assert all(n.grad is None and n._backward is None and n._parents is None
+                   for n in interior)
+        assert all(p.grad is not None for p in model.named_parameters().values())
+
+    def test_pinned_train_step_digests(self):
+        """Logits, losses, balance values, routing, every gradient and a greedy
+        continuation of one desk-shape step hash as they did when backward kept
+        the whole graph and cross-entropy held three logits-sized arrays. The
+        digests were taken with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another
+        BLAS build may round matrix products differently."""
+        def sha(*arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        model, batch = desk_model_and_batch()
+        greedy = generate(model, batch[0, :16].tolist(), 16)
+        out = model.forward(batch[:, :-1])
+        got = total_loss(out, batch[:, 1:], model.config.alpha)
+        got.node.backward()
+        params = model.named_parameters()
+        grads = hashlib.sha256()
+        for name in sorted(params):
+            grads.update(name.encode())
+            grads.update(params[name].grad.tobytes())
+        assert {
+            "logits": sha(out.logits.data),
+            "loss": sha(np.array([got.lm_loss, got.moe_loss, got.total_loss])),
+            "balance": sha(*[s.balance.data for s in out.moe_stats]),
+            "selected": sha(*[s.selected for s in out.moe_stats]),
+            "grads": grads.hexdigest(),
+            "greedy": sha(np.array(greedy)),
+        } == {
+            "logits": "a7a66626e1b027e5368a8f5ce9a68c8f3805c157b4c5fc5f08f57dcdec0b17b4",
+            "loss": "d51d44429787bf31946a6a5a432539cca2ad47b0fbffa654a0745d21e4692fad",
+            "balance": "8aea14cc9867a29ba61a635aa89169c8478f85a76e59eda670949c96847fc00d",
+            "selected": "c89e480e447ea9c36f79f627f9e49a54a98baf021730092acf7a46ca5848bb18",
+            "grads": "b7894c80bdfffa49b9ab188c9a862d2a2993cd341eedfe762e81fcb1aeaa246e",
+            "greedy": "23f10c6fbbeb56a793f2418f1e88011dc8bf2ec51c52610ee391824ae61e5146",
+        }
+
+    def test_backward_peak_stays_within_one_logits_array_of_what_forward_keeps(self):
+        """Freeing each node as it runs keeps backward's peak near what forward
+        and the loss hold; keeping the graph to the end added about four times
+        the logits (134 MB against 32 MB) at this shape."""
+        model, batch = desk_model_and_batch()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            out = model.forward(batch[:, :-1])
+            loss = total_loss(out, batch[:, 1:], model.config.alpha).node
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - kept <= out.logits.data.nbytes
 
 
 OPS = {
