@@ -1,8 +1,8 @@
 """Expert-routing analysis: per-language activation vectors, distances, correlation.
 
-For each language we count how many tokens each (MoE layer, expert) slot
-received, giving one non-negative vector per language. The counts come from
-routing passes, Model.forward(..., logits=False), which stop after the last
+For each language we count how many tokens each (MoE layer, expert) pair
+received, giving one non-negative (layers, experts) array per language. The
+counts come from routing passes, Model.forward(..., logits=False), which stop after the last
 MoE layer: no pass runs the final layer norm or builds the (positions x
 vocab_size) logits array, since nothing here reads it. Distances between
 unit-normalized vectors, divided by sqrt(2), land in [0, 1] and can be
@@ -27,23 +27,26 @@ CHUNK = 16  # sequences per no-grad forward pass in collect_activations
 
 @dataclass
 class ActivationVector:
-    """Token counts per (layer, expert) slot, layer-major, for one language."""
+    """One language's routed-token counts as a (MoE layers, experts) int array:
+    counts[layer, e] tokens went from MoE layer `layer` (in model order) to expert e."""
 
     lang: str
     counts: np.ndarray
-    n_experts: int
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1 or len(self.counts) % self.n_experts != 0:
-            raise ShapeError(
-                f"counts length {self.counts.shape} is not a multiple of n_experts={self.n_experts}")
+        if self.counts.ndim != 2:
+            raise ShapeError(f"counts must be (layers, experts), got shape {self.counts.shape}")
         if (self.counts < 0).any():
             raise ValueError(f"negative activation count for language {self.lang!r}")
 
     @property
     def n_layers(self) -> int:
-        return len(self.counts) // self.n_experts
+        return self.counts.shape[0]
+
+    @property
+    def n_experts(self) -> int:
+        return self.counts.shape[1]
 
 
 @dataclass
@@ -88,7 +91,7 @@ class DistanceMatrix:
 
 def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len: int,
                         seed: int, languages: list[str] | None = None) -> list[ActivationVector]:
-    """Count routed tokens per (layer, expert) slot for each language.
+    """Count routed tokens per (MoE layer, expert) pair for each language.
 
     Runs routing passes only: no parameter is touched. Deterministic for a
     given seed; each language draws from its own substream. A
@@ -115,36 +118,33 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
         for start in range(0, len(seqs), CHUNK):
             with no_grad():
                 out = model.forward(seqs[start:start + CHUNK], logits=False)
-            counts += np.concatenate(
+            counts += np.stack(
                 [np.bincount(s.selected, minlength=n_experts) for s in out.moe_stats])
-        vectors.append(ActivationVector(lang, counts, n_experts))
+        vectors.append(ActivationVector(lang, counts))
     return vectors
 
 
 def _stack(vectors: list[ActivationVector]) -> np.ndarray:
-    dims = {len(v.counts) for v in vectors}
-    if len(dims) > 1:
-        raise ShapeError(f"activation vectors disagree in dimensionality: {sorted(dims)}")
+    """The (languages, layers, experts) counts as float64."""
+    shapes = {v.counts.shape for v in vectors}
+    if len(shapes) > 1:
+        raise ShapeError(f"activation vectors disagree in shape: {sorted(shapes)}")
     return np.array([v.counts for v in vectors], dtype=np.float64)
 
 
 def heatmap_rows(vectors: list[ActivationVector]) -> np.ndarray:
-    """Scale each layer's expert block to unit Euclidean norm (zero blocks stay zero)."""
+    """(languages, layers, experts): each layer's expert counts scaled to unit
+    Euclidean norm (a layer with no tokens stays zero)."""
     rows = _stack(vectors)
-    n = vectors[0].n_experts
-    out = np.zeros_like(rows)
-    for layer in range(vectors[0].n_layers):
-        block = rows[:, layer * n:(layer + 1) * n]
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
-        np.divide(block, norms, out=out[:, layer * n:(layer + 1) * n], where=norms > 0)
-    return out
+    norms = np.linalg.norm(rows, axis=-1, keepdims=True)
+    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
 
 
 def distance_matrix(vectors: list[ActivationVector]) -> DistanceMatrix:
     """Unit-normalize each vector, then d(u, v) = |u - v| / sqrt(2) in [0, 1]."""
     if len(vectors) < 2:
         raise ValueError(f"need at least 2 languages, got {len(vectors)}")
-    rows = _stack(vectors)
+    rows = _stack(vectors).reshape(len(vectors), -1)
     norms = np.linalg.norm(rows, axis=1)
     for v, norm in zip(vectors, norms):
         if norm == 0:
@@ -206,16 +206,15 @@ def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, in
 
 
 def _slot_header(vectors: list[ActivationVector]) -> str:
-    n = vectors[0].n_experts
     labels = [f"layer{layer}_expert{e}"
-              for layer in range(vectors[0].n_layers) for e in range(n)]
+              for layer in range(vectors[0].n_layers) for e in range(vectors[0].n_experts)]
     return "\t".join(["lang"] + labels)
 
 
 def write_vectors_tsv(vectors: list[ActivationVector], path: str) -> None:
     lines = [_slot_header(vectors)]
     for v in vectors:
-        lines.append("\t".join([v.lang] + [str(int(c)) for c in v.counts]))
+        lines.append("\t".join([v.lang] + [str(int(c)) for c in v.counts.ravel()]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -223,7 +222,7 @@ def write_heatmap_tsv(vectors: list[ActivationVector], path: str) -> None:
     rows = heatmap_rows(vectors)
     lines = [_slot_header(vectors)]
     for v, row in zip(vectors, rows):
-        lines.append("\t".join([v.lang] + [f"{x:.6f}" for x in row]))
+        lines.append("\t".join([v.lang] + [f"{x:.6f}" for x in row.ravel()]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -111,6 +111,8 @@ def cmd_tokenizer_train(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise ValueError(f"--lr must be a finite number > 0, got {args.lr}")
     config = model_mod.ModelConfig.load(args.config)
     config.seed = args.seed
     docs, _ = corpus_mod.load_jsonl(args.corpus)
@@ -143,16 +145,16 @@ def cmd_perplexity(args) -> int:
     lang = None if args.lang is None else corpus_mod.normalize_lang(args.lang, "--lang")
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
-    docs, _ = corpus_mod.load_jsonl(args.corpus)
-    if lang is not None:
-        docs = [d for d in docs if d.lang == lang]
-        if not docs:
-            raise ValueError(f"no documents for language {lang!r}")
+    docs, counts = corpus_mod.load_jsonl(args.corpus)
+    if lang is not None and lang not in counts:
+        raise ValueError(f"no documents for language {lang!r}")
     nll_sum: dict[str, float] = {}
     tok_count: dict[str, int] = {}
     max_len = net.config.max_seq_len
     cut_docs = cut_tokens = 0
-    for doc in docs:
+    for index, doc in enumerate(docs):
+        if lang is not None and doc.lang != lang:
+            continue
         ids = [BOS_ID] + tok.encode(doc.text) + [EOS_ID]
         if len(ids) > max_len + 1:  # score the first window; count what lies past it
             cut_docs += 1
@@ -162,17 +164,20 @@ def cmd_perplexity(args) -> int:
         with no_grad():
             out = net.forward(arr[:-1])
         breakdown = trainer_mod.total_loss(out, arr[1:], alpha=0.0)
+        if not math.isfinite(breakdown.lm_loss):
+            raise FloatingPointError(
+                f"{args.corpus}: document {index} (counting from 0, language {doc.lang!r}) "
+                f"has non-finite loss {breakdown.lm_loss}")
         n = len(ids) - 1
         nll_sum[doc.lang] = nll_sum.get(doc.lang, 0.0) + breakdown.lm_loss * n
         tok_count[doc.lang] = tok_count.get(doc.lang, 0) + n
-    print("lang\tperplexity\ttokens")
-    for lang in sorted(nll_sum):
-        print(f"{lang}\t{math.exp(nll_sum[lang] / tok_count[lang]):.4f}\t{tok_count[lang]}")
-    total_nll = sum(nll_sum.values())
     total_tok = sum(tok_count.values())
     if total_tok == 0:
         raise ValueError("corpus contained no scorable tokens")
-    print(f"overall\t{math.exp(total_nll / total_tok):.4f}\t{total_tok}")
+    print("lang\tperplexity\ttokens")
+    for lang in sorted(nll_sum):
+        print(f"{lang}\t{math.exp(nll_sum[lang] / tok_count[lang]):.4f}\t{tok_count[lang]}")
+    print(f"overall\t{math.exp(sum(nll_sum.values()) / total_tok):.4f}\t{total_tok}")
     if cut_docs:
         print(f"warning: {cut_docs} documents exceed the {max_len}-token window; "
               f"{cut_tokens} tokens past it were not scored", file=sys.stderr)
@@ -201,10 +206,10 @@ def cmd_analyze_routing(args) -> int:
     docs, counts = corpus_mod.load_jsonl(args.corpus)
     vectors = analysis.collect_activations(net, tok, docs, args.sequences_per_lang,
                                            net.config.max_seq_len, args.seed)
+    matrix = analysis.distance_matrix(vectors)  # before any write: it may refuse the vectors
     os.makedirs(args.out_dir, exist_ok=True)
     analysis.write_vectors_tsv(vectors, os.path.join(args.out_dir, "vectors.tsv"))
-    analysis.write_matrix_tsv(analysis.distance_matrix(vectors),
-                              os.path.join(args.out_dir, "distance.tsv"))
+    analysis.write_matrix_tsv(matrix, os.path.join(args.out_dir, "distance.tsv"))
     analysis.write_heatmap_tsv(vectors, os.path.join(args.out_dir, "heatmap.tsv"))
     corpus_mod.write_doc_counts_tsv(counts, os.path.join(args.out_dir, "doc_counts.tsv"))
     print(f"analyzed {len(vectors)} languages -> {args.out_dir}")

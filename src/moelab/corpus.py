@@ -163,26 +163,19 @@ def synth_corpus(n_families: int, langs_per_family: int, docs_per_lang: int,
     rng = np.random.default_rng(seed)
     docs: list[Document] = []
     codes: list[str] = []
-    families: list[int] = []
     for f in range(n_families):
         alphabet = _SYMBOL_POOL[f * FAMILY_ALPHABET_SIZE:(f + 1) * FAMILY_ALPHABET_SIZE]
         base = rng.dirichlet(np.full(FAMILY_ALPHABET_SIZE, 1.5))
         for member in range(langs_per_family):
             code = string.ascii_lowercase[f] + string.ascii_lowercase[member]
             codes.append(code)
-            families.append(f)
             dist = base * np.exp(_LANG_NOISE * rng.standard_normal(FAMILY_ALPHABET_SIZE))
             dist /= dist.sum()
             for _ in range(docs_per_lang):
                 symbols = rng.choice(FAMILY_ALPHABET_SIZE, size=doc_len, p=dist)
                 docs.append(Document(code, "".join(alphabet[s] for s in symbols)))
 
-    n = len(codes)
-    truth = np.ones((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                truth[i, j] = 0.0
-            elif families[i] == families[j]:
-                truth[i, j] = 0.2
+    family = np.repeat(np.arange(n_families), langs_per_family)
+    truth = np.where(family[:, None] == family[None, :], 0.2, 1.0)
+    np.fill_diagonal(truth, 0.0)
     return docs, DistanceMatrix(codes, truth)

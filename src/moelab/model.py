@@ -161,17 +161,16 @@ class ForwardOutput:
 class KVCache:
     """The attention keys and values of the positions a model has already seen.
 
-    keys[i] and values[i] are preallocated (batch, max_seq_len, n_heads,
-    head width) buffers for layer i. Rows 0..length-1 hold the projected K/V
-    of positions 0..length-1 of each sequence in the batch; later rows are
-    unused. A prefix of rows reads as (batch, rows, d_model) without a copy,
-    the layout attention() takes. Model.forward(tokens, cache) writes the rows
-    of its new positions and then advances length. The arrays carry no
-    gradient.
+    keys[i] and values[i] are preallocated (batch, max_seq_len, d_model)
+    buffers for layer i. Rows 0..length-1 hold the projected K/V of positions
+    0..length-1 of each sequence in the batch; later rows are unused. A prefix
+    of rows is the (batch, rows, d_model) layout attention() takes, with no
+    copy. Model.forward(tokens, cache) writes the rows of its new positions
+    and then advances length. The arrays carry no gradient.
     """
 
     def __init__(self, config: ModelConfig, batch: int):
-        shape = (batch, config.max_seq_len, config.n_heads, config.d_model // config.n_heads)
+        shape = (batch, config.max_seq_len, config.d_model)
         self.keys = [np.zeros(shape) for _ in range(config.n_layers)]
         self.values = [np.zeros(shape) for _ in range(config.n_layers)]
         self.length = 0
@@ -270,7 +269,7 @@ class Model:
 
         A cached forward must run under no_grad() (cached K/V are plain
         arrays, so gradients would stop at them), with a cache built for this
-        model's layers, width, heads and batch size, and with s+T <=
+        model's layers, width and batch size, and with s+T <=
         max_seq_len; all of this is checked before any cache row is written.
         Logits at position p depend only on tokens at positions <= p.
 
@@ -299,19 +298,17 @@ class Model:
             ids = ids[None, :]
         b, t = ids.shape
         d = cfg.d_model
-        n_heads = cfg.n_heads
-        head = d // n_heads
         s = 0
         if cache is not None:
             if grad_enabled():
                 raise RuntimeError("a cached forward must run under no_grad(): "
                                    "cached keys and values carry no gradient")
-            shape = (b, cfg.max_seq_len, n_heads, head)
+            shape = (b, cfg.max_seq_len, d)
             if len(cache.keys) != cfg.n_layers or cache.keys[0].shape != shape:
                 raise ShapeError(
                     f"cache holds {len(cache.keys)} layers of shape {cache.keys[0].shape}, this "
                     f"call needs {cfg.n_layers} layers of shape {shape} "
-                    f"(batch, max_seq_len, heads, head width)")
+                    f"(batch, max_seq_len, d_model)")
             s = cache.length
         if s + t > cfg.max_seq_len:
             held = f"cache length {s} + " if cache is not None else ""
@@ -326,11 +323,11 @@ class Model:
             k = linear(h, a.wk, a.bk)
             v = linear(h, a.wv, a.bv)
             if cache is not None:
-                cache.keys[i][:, s:s + t] = k.data.reshape(b, t, n_heads, head)
-                cache.values[i][:, s:s + t] = v.data.reshape(b, t, n_heads, head)
-                k = Tensor(cache.keys[i][:, :s + t].reshape(b, s + t, d))
-                v = Tensor(cache.values[i][:, :s + t].reshape(b, s + t, d))
-            x = x + linear(attention(q, k, v, n_heads), a.wo, a.bo)
+                cache.keys[i][:, s:s + t] = k.data
+                cache.values[i][:, s:s + t] = v.data
+                k = Tensor(cache.keys[i][:, :s + t])
+                v = Tensor(cache.values[i][:, :s + t])
+            x = x + linear(attention(q, k, v, cfg.n_heads), a.wo, a.bo)
 
             h = layer_norm(x, layer.ln2_gain, layer.ln2_bias, LN_EPS)
             if layer.moe is not None:
@@ -401,6 +398,8 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
     One forward over the prompt fills a KVCache; each later step feeds only
     the token just chosen, at the next position. Every position is computed
     once: len(prompt) + max_new_tokens - 1 positions for max_new_tokens >= 1.
+    A non-finite temperature raises ValueError before any forward, and
+    non-finite logits raise FloatingPointError naming their position.
     """
     ids = list(prompt_ids)
     vocab = model.config.vocab_size
@@ -418,14 +417,16 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
         raise ValueError(
             f"prompt length {len(ids)} + max_new_tokens {max_new_tokens} exceeds "
             f"max_seq_len {model.config.max_seq_len}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
+    if not math.isfinite(temperature) or temperature < 0:
+        raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
     rng = np.random.default_rng(seed)
     cache = KVCache(model.config, batch=1)
     step = np.asarray(ids)
     with no_grad():
         for _ in range(max_new_tokens):
             last = model.forward(step, cache).logits.data[-1]
+            if not np.isfinite(last).all():
+                raise FloatingPointError(f"logits at position {len(ids) - 1} are not finite")
             if temperature == 0.0:
                 nxt = int(last.argmax())
             else:

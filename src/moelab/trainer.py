@@ -196,16 +196,20 @@ class Trainer:
         model, state = load_checkpoint(path)
         if state is None:
             raise FormatError(f"{path}: checkpoint carries no trainer state to resume from")
-        adam = AdamState({})  # allocates nothing; the loaded moments and step become its state
-        adam.m, adam.v, adam.step = state["moments_m"], state["moments_v"], state["adam"]["step"]
-        trainer = cls(model, docs, tokenizer, schedule, batch_size, seed=state["seed"], adam=adam)
+        trainer = cls(model, docs, tokenizer, schedule, batch_size, seed=state["seed"],
+                      adam=state["adam"])
         trainer.step = state["step"]
         trainer.tokens_seen = state["tokens_seen"]
         return trainer
 
 
 def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> None:
-    """Write config + parameters (and, when given, optimizer state) to `path`."""
+    """Write config + parameters (and, when given, optimizer state) to `path`.
+
+    A non-finite value in any tensor raises FloatingPointError naming the
+    first such tensor before anything is written, so a file already at
+    `path` stays as it was.
+    """
     header: dict = {"model": asdict(model.config), "state": None}
     tensors = {name: p.data for name, p in model.named_parameters().items()}
     if trainer is not None:
@@ -218,13 +222,19 @@ def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> 
         for name in trainer.params:
             tensors[f"adam.m.{name}"] = trainer.adam.m[name]
             tensors[f"adam.v.{name}"] = trainer.adam.v[name]
+    bad = next((name for name, arr in tensors.items() if not np.isfinite(arr).all()), None)
+    if bad is not None:
+        raise FloatingPointError(f"{path}: tensor {bad!r} holds a non-finite value; "
+                                 "no checkpoint written")
     write_checkpoint(path, header, tensors)
 
 
 def load_checkpoint(path: str) -> tuple[Model, dict | None]:
     """Build the model from the stored parameters (bitwise, no init draw) plus any trainer state.
 
-    The arrays read from the file become the parameters and Adam moments
+    The state is None for a weights-only file, else the header's state with
+    "adam" holding the AdamState (moments and step) to continue from. The
+    arrays read from the file become the parameters and Adam moments
     themselves, so a float64 checkpoint is held once in memory. A trainer
     state must be an object whose step, seed, tokens_seen and adam.step are
     non-negative integers; anything else raises FormatError naming the field.
@@ -244,15 +254,15 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
     if state is not None:
-        state = dict(state)
-        state["moments_m"] = {}
-        state["moments_v"] = {}
+        adam = AdamState({})  # allocates nothing; the loaded moments and step become its state
+        adam.step = state["adam"]["step"]
         for name in model.named_parameters():
-            for kind, dest in (("m", "moments_m"), ("v", "moments_v")):
+            for kind, moments in (("m", adam.m), ("v", adam.v)):
                 key = f"adam.{kind}.{name}"
                 if key not in tensors:
                     raise FormatError(f"{path}: checkpoint is missing optimizer tensor {key!r}")
-                state[dest][name] = np.require(tensors[key], np.float64, "CAW")
+                moments[name] = np.require(tensors[key], np.float64, "CAW")
+        state = {**state, "adam": adam}
     return model, state
 
 

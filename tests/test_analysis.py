@@ -19,7 +19,8 @@ from moelab.tokenizer import Tokenizer
 
 
 def vec(lang, counts, n_experts=2):
-    return ActivationVector(lang, counts, n_experts)
+    """The ActivationVector of layer-major `counts`, n_experts to a layer."""
+    return ActivationVector(lang, np.reshape(counts, (-1, n_experts)))
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +51,9 @@ class TestCollectActivations:
         finally:
             pass
         for v in vectors:
-            reshaped = v.counts.reshape(v.n_layers, v.n_experts)
-            assert (reshaped[:, 1:] == 0).all()
-            assert (reshaped[:, 0] > 0).all()
+            assert v.counts.shape == (v.n_layers, v.n_experts) == (1, 3)
+            assert (v.counts[:, 1:] == 0).all()
+            assert (v.counts[:, 0] > 0).all()
 
     def test_counts_sum_invariant(self, tiny_setup):
         model, tok, docs, _ = tiny_setup
@@ -81,7 +82,7 @@ class TestCollectActivations:
             assert not logits
             full = forward(ids)
             assert full.logits is not None
-            from_full.append(np.concatenate(
+            from_full.append(np.stack(
                 [np.bincount(s.selected, minlength=n) for s in full.moe_stats]))
             return forward(ids, logits=False)
 
@@ -113,25 +114,28 @@ class TestCollectActivations:
 class TestHeatmapRows:
     def test_hand_l2_norm(self):
         rows = heatmap_rows([vec("aa", [3, 4, 0, 0])])
-        assert np.allclose(rows[0][:2], [0.6, 0.8], atol=1e-12)
+        assert np.allclose(rows[0, 0], [0.6, 0.8], atol=1e-12)
 
     def test_zero_block_stays_zero(self):
         rows = heatmap_rows([vec("aa", [0, 0, 5, 5])])
-        assert np.array_equal(rows[0][:2], [0.0, 0.0])
-        assert np.allclose(rows[0][2:], [math.sqrt(0.5)] * 2, atol=1e-12)
+        assert np.array_equal(rows[0, 0], [0.0, 0.0])
+        assert np.allclose(rows[0, 1], [math.sqrt(0.5)] * 2, atol=1e-12)
 
     def test_nonzero_blocks_unit_norm(self):
         rng = np.random.default_rng(0)
         vectors = [vec(code, rng.integers(1, 50, size=8), n_experts=4)
                    for code in ("aa", "bb", "cc")]
         rows = heatmap_rows(vectors)
+        assert rows.shape == (3, 2, 4)
         for row in rows:
-            for block in row.reshape(2, 4):
+            for block in row:
                 assert abs(np.linalg.norm(block) - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             heatmap_rows([vec("aa", [1, 2]), vec("bb", [1, 2, 3, 4])])
+        with pytest.raises(ShapeError, match=r"\(layers, experts\), got shape \(4,\)"):
+            ActivationVector("aa", [1, 2, 3, 4])
 
 
 class TestDistanceMatrix:

@@ -150,6 +150,27 @@ def test_unsupported_dtype_writes_nothing(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["int.ckpt"]
 
 
+@pytest.mark.parametrize("poisoned, named", [
+    ({"layers.1.moe.gate": np.nan, "lnf.gain": np.inf}, "layers.1.moe.gate"),
+    ({"adam.v.lnf.bias": np.nan}, "adam.v.lnf.bias"),
+], ids=["parameter", "adam_moment"])
+def test_non_finite_tensor_writes_nothing(tmp_path, poisoned, named):
+    model = Model(desk_config(**TINY_CONFIG))
+    trainer = Trainer(model, [], None, LrSchedule.for_total_steps(1e-3, 10), batch_size=1, seed=0)
+    arrays = {name: p.data for name, p in model.named_parameters().items()}
+    arrays.update({f"adam.m.{name}": m for name, m in trainer.adam.m.items()})
+    arrays.update({f"adam.v.{name}": v for name, v in trainer.adam.v.items()})
+    for name, value in poisoned.items():
+        arrays[name].flat[0] = value
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(TINY)
+    with pytest.raises(FloatingPointError,
+                       match=f"^{path}: tensor '{named}' holds a non-finite value;"):
+        save_checkpoint(model, str(path), trainer)
+    assert path.read_bytes() == TINY
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 class TestMemory:
     """tracemalloc peaks at desk_config(): a load holds each tensor once, a save
     holds none of them again."""

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,81 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert err.startswith("error: step 2: total loss is nan")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-5", "0"])
+    def test_train_refuses_a_learning_rate_that_is_not_positive(self, workspace, tmp_path,
+                                                                 capsys, lr):
+        ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.tsv"
+        assert main(["train", "--config", workspace["config"],
+                     "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
+                     "--steps", "1", "--batch-size", "2", "--seed", "7", "--lr", lr,
+                     "--checkpoint-out", str(ckpt), "--log", str(log)]) == 1
+        assert capsys.readouterr().err == (f"error: --lr must be a finite number > 0, "
+                                           f"got {float(lr)}\n")
+        assert not ckpt.exists() and not log.exists()
+
+    def test_inference_on_overflowing_weights_names_where(self, workspace, tmp_path, capsys):
+        # one step at lr 1e300 leaves finite weights near 1e300, whose logits overflow
+        ckpt = str(tmp_path / "huge.ckpt")
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", workspace["config"],
+                         "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
+                         "--steps", "2", "--batch-size", "2", "--seed", "7", "--lr", "1e300",
+                         "--checkpoint-out", ckpt, "--log", str(tmp_path / "log.tsv")]) == 0
+            capsys.readouterr()
+            assert main(["perplexity", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
+                         "--corpus", workspace["corpus"]]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {workspace['corpus']}: document 0 "
+                                           "(counting from 0, language 'aa') has non-finite "
+                                           "loss ")
+            assert main(["perplexity", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
+                         "--corpus", workspace["corpus"], "--lang", "ba"]) == 1
+            assert capsys.readouterr().err.startswith(  # 8 documents per language, in order
+                f"error: {workspace['corpus']}: document 16 (counting from 0, language 'ba')")
+            assert main(["generate", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
+                         "--prompt", "ab", "--max-new-tokens", "3"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: logits at position ")
+            assert captured.err.endswith(" are not finite\n")
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
+    def test_generate_refuses_a_temperature_before_any_forward(self, workspace, capsys,
+                                                               monkeypatch, temperature):
+        from moelab.model import Model
+        monkeypatch.setattr(Model, "forward", None)  # any forward would raise TypeError
+        assert main(["generate", "--checkpoint", workspace["ckpt"], "--tokenizer",
+                     workspace["tok"], "--prompt", "ab", "--max-new-tokens", "2",
+                     "--temperature", temperature]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: temperature must be a finite number >= 0, "
+                                f"got {float(temperature)}\n")
+
+    def test_analyze_routing_of_one_language_writes_nothing(self, workspace, tmp_path,
+                                                            capsys):
+        from moelab.corpus import load_jsonl, write_jsonl
+        docs, _ = load_jsonl(workspace["corpus"])
+        one = tmp_path / "one.jsonl"
+        write_jsonl([d for d in docs if d.lang == "aa"], str(one))
+        out_dir = tmp_path / "routing"
+        assert main(["analyze-routing", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", str(one),
+                     "--sequences-per-lang", "1", "--seed", "2",
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: need at least 2 languages, got 1\n"
+        assert not out_dir.exists()
+
+    def test_perplexity_of_an_empty_corpus_prints_nothing(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["perplexity", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", str(empty)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: corpus contained no scorable tokens\n"
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_train_without_steps_writes_nothing(self, workspace, tmp_path, capsys, steps):
@@ -355,6 +431,43 @@ class TestPipeline:
         assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
                      "--thresholds", "0"]) == 1
         capsys.readouterr()
+
+
+def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path, capsys):
+    """A model with two MoE layers, trained three steps: its checkpoint, the
+    checkpoint a resume of it saves again, the four analyze-routing files and
+    the synthetic truth matrix hash as they did when activation counts were a
+    flat layer-major list and a resume repacked the Adam moments. The digests
+    were taken with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another BLAS
+    build may round matrix products differently."""
+    from moelab.trainer import LrSchedule, Trainer, save_checkpoint
+
+    def sha(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    ckpt, resaved, out_dir = tmp_path / "m.ckpt", tmp_path / "again.ckpt", tmp_path / "r"
+    assert main(["train", "--config", small_config(tmp_path, n_layers=4),
+                 "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
+                 "--steps", "3", "--batch-size", "2", "--seed", "5",
+                 "--checkpoint-out", str(ckpt), "--log", str(tmp_path / "log.tsv")]) == 0
+    assert main(["analyze-routing", "--checkpoint", str(ckpt), "--tokenizer", workspace["tok"],
+                 "--corpus", workspace["corpus"], "--sequences-per-lang", "3", "--seed", "2",
+                 "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    resumed = Trainer.resume(str(ckpt), [], None, LrSchedule.for_total_steps(1e-3, 3),
+                             batch_size=2)
+    save_checkpoint(resumed.model, str(resaved), resumed)
+    files = ["vectors.tsv", "heatmap.tsv", "distance.tsv", "doc_counts.tsv"]
+    assert {"checkpoint": sha(ckpt), "resaved": sha(resaved), "truth": sha(workspace["truth"]),
+            **{name: sha(out_dir / name) for name in files}} == {
+        "checkpoint": "a49883ff697f83678e43274ce39f778695159126e180de4b4471fffd206c696a",
+        "resaved": "a49883ff697f83678e43274ce39f778695159126e180de4b4471fffd206c696a",
+        "truth": "84f4cac944b6ed4995f48f6acb379dd9edca3b2556784282b3cdd83e9f6a70b6",
+        "vectors.tsv": "40db734a8647bf0452e9ae4256fb3c0745ac8920059a964668d62283352802ec",
+        "heatmap.tsv": "ef6a05a752381fb6ca59ffa49e32411c020d4a50abd68b64e88df5bd4dd0ac76",
+        "distance.tsv": "681588e137df59daae9a99b4cdd1afc9226be3c70351eb10061460594e14ff66",
+        "doc_counts.tsv": "d6f0927e7046a498097435657c12ffe5b71095cc2fd04506c8552dbff6f03824",
+    }
 
 
 def test_synth_corpus_files_parse(workspace):

@@ -1,5 +1,6 @@
 """Decoder model: placement, causality, determinism, parameter accounting."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -354,6 +355,26 @@ class TestKVCache:
         for mine, ref in zip(cached_selected, full.moe_stats):
             assert np.array_equal(mine, ref.selected.reshape(-1, config.max_seq_len))
 
+    def test_pinned_cached_decode_digests(self):
+        """Cached-decode logits at batch 1 and 2 and a greedy continuation hash
+        as they did when the cache kept a (batch, rows, heads, head width)
+        layout. The digests were taken with numpy 2.4 and OpenBLAS 0.3.31 on
+        x86-64; another BLAS build may round matrix products differently."""
+        def sha(array):
+            return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+        model = Model(desk_config(seed=1))
+        tokens = np.random.default_rng(5).integers(0, 4096, size=(2, 128))
+        assert {
+            "batch1": sha(decode_in_steps(model, tokens[0], 16)[0]),
+            "batch2": sha(decode_in_steps(model, tokens, 16)[0]),
+            "greedy": sha(np.array(generate(model, tokens[0, :16].tolist(), 112))),
+        } == {
+            "batch1": "5a5a8bf6fcbeef731a3148de5742298eebd2b16ed7691a4261173d19b012bd69",
+            "batch2": "670e45f314e073d91517a5b269f06e262bd05fa289afc8d037f0841608e4355b",
+            "greedy": "ec88d0d1ad9f3ef1d1257d6c2b98582049339912c66cd6968a16e575a05136f2",
+        }
+
     @staticmethod
     def prefilled(config, batch=1, length=3):
         model = Model(config)
@@ -384,7 +405,7 @@ class TestKVCache:
         assert cache.length == 16
 
     @pytest.mark.parametrize("overrides, batch", [(dict(n_layers=4), 1), (dict(d_model=32), 1),
-                                                  (dict(n_heads=4), 1), ({}, 2)])
+                                                  ({}, 2)])
     def test_cache_for_another_shape_rejected(self, overrides, batch):
         _, cache, snapshot = self.prefilled(tiny_config(**overrides), batch=batch)
         with no_grad(), pytest.raises(ShapeError, match="this call needs 2 layers of shape"):
