@@ -172,21 +172,13 @@ def pearson(a: DistanceMatrix, b: DistanceMatrix) -> float:
     return float(np.clip((dx @ dy) / math.sqrt(vx * vy), -1.0, 1.0))
 
 
-def filter_languages(codes: list[str], counts: dict[str, int],
-                     threshold: float) -> list[str]:
-    """Keep languages whose document count reaches the threshold, order preserved."""
-    for code in codes:
-        if code not in counts:
-            raise ValueError(f"no document count for language {code!r}")
-    return [c for c in codes if counts[c] >= threshold]
-
-
 def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, int],
                       thresholds: list[float]) -> list[tuple[float, int, float | None]]:
     """One (threshold, n_languages, r) row per threshold.
 
     Each row correlates a and b over their common languages whose document
-    count reaches the threshold; r is None when fewer than 3 survive.
+    count reaches the threshold; r is None when fewer than 3 survive. A
+    common language without a count raises ValueError naming it, before any row.
     """
     if not thresholds or not all(map(math.isfinite, thresholds)):
         raise ValueError(f"thresholds must be finite numbers, at least one, got {thresholds!r}")
@@ -194,9 +186,12 @@ def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, in
         raise ValueError("thresholds must be sorted ascending")
     b_codes = set(b.codes)
     common = [c for c in a.codes if c in b_codes]
+    missing = next((c for c in common if c not in counts), None)
+    if missing is not None:
+        raise ValueError(f"no document count for language {missing!r}")
     rows: list[tuple[float, int, float | None]] = []
     for thr in thresholds:
-        kept = filter_languages(common, counts, thr)
+        kept = [c for c in common if counts[c] >= thr]
         r = pearson(a.restrict(kept), b.restrict(kept)) if len(kept) >= 3 else None
         rows.append((thr, len(kept), r))
     return rows

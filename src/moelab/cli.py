@@ -113,6 +113,10 @@ def cmd_tokenizer_train(args) -> int:
 def cmd_train(args) -> int:
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise ValueError(f"--lr must be a finite number > 0, got {args.lr}")
+    for flag, path in (("--log", args.log), ("--checkpoint-out", args.checkpoint_out)):
+        directory = os.path.dirname(path)  # both files are written after the last step
+        if directory and not os.path.isdir(directory):
+            raise ValueError(f"{flag} {path}: directory {directory} does not exist")
     config = model_mod.ModelConfig.load(args.config)
     config.seed = args.seed
     docs, _ = corpus_mod.load_jsonl(args.corpus)
@@ -122,7 +126,8 @@ def cmd_train(args) -> int:
     schedule = trainer_mod.LrSchedule.for_total_steps(args.lr, args.steps)
     trainer = trainer_mod.Trainer(net, docs, tok, schedule,
                                   batch_size=args.batch_size, seed=args.seed)
-    rows = trainer.run(args.steps, log_path=args.log)
+    rows = trainer.run(args.steps)
+    trainer_mod.write_log_tsv(rows, args.log)
     trainer_mod.save_checkpoint(trainer.model, args.checkpoint_out, trainer)
     last = rows[-1]
     print(f"step {last.step}: lm_loss={last.lm_loss:.4f} moe_loss={last.moe_loss:.4f} "

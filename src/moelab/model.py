@@ -21,7 +21,6 @@ from .tensor import Tensor, embedding, grad_enabled, layer_norm, linear, no_grad
 
 INIT_STD = 0.02
 FFN_MULTIPLIER = 4  # feed-forward hidden width, in units of d_model
-LN_EPS = 1e-5
 MASKED_SCORE = -1e30  # added to the scores of future keys; exp() underflows to exactly 0
 
 
@@ -317,7 +316,7 @@ class Model:
         x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(s, s + t))
         stats: list[RoutingStats] = []
         for i, layer in enumerate(self.layers):
-            h = layer_norm(x, layer.ln1_gain, layer.ln1_bias, LN_EPS)
+            h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
             a = layer.attn
             q = linear(h, a.wq, a.bq)
             k = linear(h, a.wk, a.bk)
@@ -329,7 +328,7 @@ class Model:
                 v = Tensor(cache.values[i][:, :s + t])
             x = x + linear(attention(q, k, v, cfg.n_heads), a.wo, a.bo)
 
-            h = layer_norm(x, layer.ln2_gain, layer.ln2_bias, LN_EPS)
+            h = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
             if layer.moe is not None:
                 y, layer_stats = moe_forward(h.reshape(b * t, d), layer.moe)
                 x = x + y.reshape(b, t, d)
@@ -341,7 +340,7 @@ class Model:
         if not logits:
             return ForwardOutput(logits=None, moe_stats=stats)
 
-        x = layer_norm(x, self.lnf_gain, self.lnf_bias, LN_EPS)
+        x = layer_norm(x, self.lnf_gain, self.lnf_bias)
         out = linear(x, self.tok_emb.transpose())
         if squeeze:
             out = out.reshape(t, cfg.vocab_size)
@@ -399,7 +398,9 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
     the token just chosen, at the next position. Every position is computed
     once: len(prompt) + max_new_tokens - 1 positions for max_new_tokens >= 1.
     A non-finite temperature raises ValueError before any forward, and
-    non-finite logits raise FloatingPointError naming their position.
+    non-finite logits raise FloatingPointError naming their position. A
+    temperature so small that logits / temperature overflows raises
+    ValueError naming it before that token is drawn.
     """
     ids = list(prompt_ids)
     vocab = model.config.vocab_size
@@ -430,7 +431,13 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
             if temperature == 0.0:
                 nxt = int(last.argmax())
             else:
-                p = softmax(Tensor(last / temperature)).data
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scaled = last / temperature
+                    spread = scaled.max() - scaled.min()  # inf or nan if anything overflowed
+                if not math.isfinite(spread):
+                    raise ValueError(f"temperature {temperature} is too small: the logits at "
+                                     f"position {len(ids) - 1} divided by it overflow")
+                p = softmax(Tensor(scaled)).data
                 nxt = int(rng.choice(len(p), p=p))
             ids.append(nxt)
             step = np.asarray([nxt])

@@ -96,5 +96,6 @@ def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats]:
     out = grouped[np.argsort(order)] * probs[rows, selected[:, None]]
 
     token_fraction = counts / n_tokens
-    balance = (probs.mean(axis=0) * token_fraction).sum() * float(layer.n_experts)
+    mean_prob = probs.sum(axis=0) * (1.0 / n_tokens)  # P
+    balance = (mean_prob * token_fraction).sum() * float(layer.n_experts)
     return out, RoutingStats(selected, token_fraction, balance)

@@ -10,6 +10,7 @@ from .tensor import Tensor
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+CLIP_NORM = 1.0  # global gradient-norm bound applied before every Adam step
 
 
 class AdamState:
@@ -43,15 +44,15 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm; returns the pre-clip norm."""
+def clip_global_norm(params: dict[str, Tensor]) -> float:
+    """Scale all gradients so their joint L2 norm is at most CLIP_NORM; returns the pre-clip norm."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad * p.grad).sum())
     norm = total ** 0.5
-    if norm > max_norm > 0:
-        scale = max_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad *= scale

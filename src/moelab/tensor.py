@@ -34,6 +34,7 @@ from scipy.special import erf
 from .errors import GraphConsumedError, ShapeError
 
 _grad_enabled = True
+LN_EPS = 1e-5  # added to the variance in layer_norm
 
 
 @contextmanager
@@ -220,10 +221,6 @@ class Tensor:
 
         return Tensor._op(a.data.sum(axis=axis), (a,), bwd)
 
-    def mean(self, axis: int | None = None) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / float(count))
-
 
 def as_tensor(x) -> Tensor:
     """Wrap scalars/arrays as constant tensors; pass tensors through."""
@@ -292,14 +289,14 @@ def softmax(x: Tensor) -> Tensor:
     return Tensor._op(p, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (LN_EPS added to it), then affine."""
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}")
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + LN_EPS)
     xhat *= inv
 
     def bwd(g: np.ndarray) -> None:

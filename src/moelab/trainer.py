@@ -23,7 +23,6 @@ from .optim import AdamState, adam_step, clip_global_norm
 from .tensor import Tensor, cross_entropy
 
 LOG_HEADER = "step\tlm_loss\tmoe_loss\ttotal_loss\tlr\ttokens_seen"
-CLIP_NORM = 1.0  # global gradient-norm bound applied before every Adam step
 WARMUP_FRAC = 0.01  # share of a run's steps spent warming the learning rate up
 FLOOR_FRAC = 0.1  # the learning rate the cosine decays to, as a share of the peak
 
@@ -58,18 +57,16 @@ def total_loss(output: ForwardOutput, targets, alpha: float) -> LossBreakdown:
 
 @dataclass
 class LrSchedule:
-    """Linear warmup from zero to peak, cosine decay to min_lr, then flat."""
+    """Linear warmup from zero to peak, cosine decay to peak * FLOOR_FRAC, then flat."""
 
     peak: float
     warmup_steps: int
     decay_steps: int
-    min_lr: float
 
     @classmethod
     def for_total_steps(cls, peak: float, total_steps: int) -> "LrSchedule":
         warmup = max(1, round(total_steps * WARMUP_FRAC))
-        return cls(peak=peak, warmup_steps=warmup,
-                   decay_steps=max(1, total_steps - warmup), min_lr=peak * FLOOR_FRAC)
+        return cls(peak=peak, warmup_steps=warmup, decay_steps=max(1, total_steps - warmup))
 
 
 def lr_at_step(step: int, schedule: LrSchedule) -> float:
@@ -77,11 +74,12 @@ def lr_at_step(step: int, schedule: LrSchedule) -> float:
         raise ValueError(f"step must be non-negative, got {step}")
     if step <= schedule.warmup_steps:
         return schedule.peak * step / schedule.warmup_steps
+    floor = schedule.peak * FLOOR_FRAC
     done = step - schedule.warmup_steps
     if done >= schedule.decay_steps:
-        return schedule.min_lr
+        return floor
     cos = 0.5 * (1.0 + math.cos(math.pi * done / schedule.decay_steps))
-    return schedule.min_lr + (schedule.peak - schedule.min_lr) * cos
+    return floor + (schedule.peak - floor) * cos
 
 
 @dataclass
@@ -158,7 +156,7 @@ class Trainer:
             raise FloatingPointError(f"step {step}: total loss is {breakdown.total_loss}")
         self.model.zero_grad()
         breakdown.node.backward()
-        norm = clip_global_norm(self.params, CLIP_NORM)
+        norm = clip_global_norm(self.params)
         if not math.isfinite(norm):
             bad = next((name for name, p in self.params.items()
                         if p.grad is not None and not np.isfinite(p.grad).all()), None)
@@ -169,8 +167,8 @@ class Trainer:
         self.model.zero_grad()
         return breakdown
 
-    def run(self, steps: int, log_path: str | None = None) -> list[LogRow]:
-        """Train for `steps` steps (at least 1; checked before any step or file write)."""
+    def run(self, steps: int) -> list[LogRow]:
+        """Train for `steps` steps (at least 1; checked before any step)."""
         if steps < 1:
             raise ValueError(f"steps must be at least 1, got {steps}")
         rows: list[LogRow] = []
@@ -184,8 +182,6 @@ class Trainer:
             rows.append(LogRow(step, breakdown.lm_loss, breakdown.moe_loss,
                                breakdown.total_loss, lr_at_step(step, self.schedule),
                                self.tokens_seen))
-        if log_path is not None:
-            write_log_tsv(rows, log_path)
         return rows
 
     # -- persistence -----------------------------------------------------------
@@ -238,6 +234,9 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
     themselves, so a float64 checkpoint is held once in memory. A trainer
     state must be an object whose step, seed, tokens_seen and adam.step are
     non-negative integers; anything else raises FormatError naming the field.
+    Every tensor must be a parameter of the model the header describes or,
+    when the header has a trainer state, one of its Adam moments; the first
+    tensor that is neither raises FormatError naming it.
     """
     header, tensors = read_checkpoint(path)
     if not isinstance(header.get("model"), dict):
@@ -253,6 +252,14 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
         model = Model(config, tensors)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    known = set(model.named_parameters())
+    if state is not None:
+        known |= {f"adam.{kind}.{name}" for name in known for kind in "mv"}
+    extra = next((name for name in tensors if name not in known), None)
+    if extra is not None:
+        raise FormatError(f"{path}: tensor {extra!r} is neither a parameter of the model the "
+                          "header describes nor an Adam moment of its trainer state"
+                          + ("" if state is not None else " (the header has none)"))
     if state is not None:
         adam = AdamState({})  # allocates nothing; the loaded moments and step become its state
         adam.step = state["adam"]["step"]

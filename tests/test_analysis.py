@@ -9,9 +9,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 from moelab.analysis import (ActivationVector, DistanceMatrix, collect_activations,
-                             correlation_sweep, distance_matrix, filter_languages,
-                             format_sweep_tsv, heatmap_rows, pearson, read_matrix_tsv,
-                             write_heatmap_tsv, write_matrix_tsv, write_vectors_tsv)
+                             correlation_sweep, distance_matrix, format_sweep_tsv,
+                             heatmap_rows, pearson, read_matrix_tsv, write_heatmap_tsv,
+                             write_matrix_tsv, write_vectors_tsv)
 from moelab.corpus import synth_corpus
 from moelab.errors import FormatError, ShapeError
 from moelab.model import Model, ModelConfig
@@ -266,20 +266,31 @@ class TestFilterAndSweep:
         rng = np.random.default_rng(9)
         return [vec(code, rng.integers(1, 30, size=4)) for code in self.CODES]
 
+    def matrices(self):
+        return (distance_matrix(self.vectors()),
+                symmetric_matrix(self.CODES, np.random.default_rng(12)))
+
+    def sweep(self, thresholds, counts=None):
+        return correlation_sweep(*self.matrices(), self.COUNTS if counts is None else counts,
+                                 thresholds)
+
     def test_threshold_filter(self):
-        assert filter_languages(self.CODES, self.COUNTS, 1e6) == ["aa"]
+        a, b = self.matrices()
+        kept = ["aa", "bb", "cc"]  # dd's 9 documents fall below 100
+        assert self.sweep([100, 1e6]) == [(100, 3, pearson(a.restrict(kept), b.restrict(kept))),
+                                          (1e6, 1, None)]
 
     def test_zero_threshold_keeps_all(self):
-        assert filter_languages(self.CODES, self.COUNTS, 0) == self.CODES
+        assert [n for _, n, _ in self.sweep([0])] == [len(self.CODES)]
 
     def test_monotone_in_threshold(self):
-        sizes = [len(filter_languages(self.CODES, self.COUNTS, t))
-                 for t in (0, 10, 1000, 1e5, 1e7)]
+        sizes = [n for _, n, _ in self.sweep([0, 10, 1000, 1e5, 1e7])]
         assert sizes == sorted(sizes, reverse=True)
+        assert sizes == [4, 3, 2, 1, 0]
 
     def test_missing_count_rejected(self):
-        with pytest.raises(ValueError, match="aa"):
-            filter_languages(self.CODES, {"bb": 1}, 0)
+        with pytest.raises(ValueError, match="no document count for language 'aa'"):
+            self.sweep([0], counts={"bb": 1, "cc": 1, "dd": 1})
 
     def test_sweep_rows(self):
         vectors = self.vectors()

@@ -168,6 +168,37 @@ class TestRuntimeFailures:
         assert captured.err == ("error: temperature must be a finite number >= 0, "
                                 f"got {float(temperature)}\n")
 
+    def test_generate_names_a_temperature_too_small_for_the_logits(self, workspace, capsys):
+        assert main(["generate", "--checkpoint", workspace["ckpt"], "--tokenizer",
+                     workspace["tok"], "--prompt", "ab", "--max-new-tokens", "2",
+                     "--temperature", "1e-320"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: temperature 1e-320 is too small: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--log", "--checkpoint-out"])
+    def test_train_refuses_an_output_in_a_missing_directory_before_any_step(
+            self, workspace, tmp_path, capsys, monkeypatch, flag):
+        from moelab.trainer import Trainer
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(Trainer, "train_step", no_step)
+        outputs = {"--log": str(tmp_path / "log.tsv"),
+                   "--checkpoint-out": str(tmp_path / "m.ckpt")}
+        missing = tmp_path / "typo"
+        outputs[flag] = str(missing / "out")
+        assert main(["train", "--config", workspace["config"], "--corpus", workspace["corpus"],
+                     "--tokenizer", workspace["tok"], "--steps", "2", "--batch-size", "2",
+                     "--seed", "7", *(x for item in outputs.items() for x in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} {missing / 'out'}: directory {missing} "
+                                "does not exist\n")
+        assert not any(tmp_path.iterdir())
+
     def test_analyze_routing_of_one_language_writes_nothing(self, workspace, tmp_path,
                                                             capsys):
         from moelab.corpus import load_jsonl, write_jsonl
@@ -566,3 +597,40 @@ def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
         unused = sorted(f"{c.co_name} (line {c.co_firstlineno})"
                         for c in module_functions(module, exempt.get(info.name, ())) - entered)
         assert not unused, f"{module.__name__} functions no product path enters: {unused}"
+
+
+def test_every_module_constant_is_read():
+    """Static check over moelab's source: each module-level constant is read by
+    some moelab module, by plain name in its own module, through a
+    `from .module import NAME`, or as an attribute of an imported module."""
+    import ast
+
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in Path(moelab.__file__).parent.glob("*.py")}
+    defined = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            defined |= {(module, t.id) for t in targets
+                        if isinstance(t, ast.Name) and t.id != "__all__"}
+    read = set()
+    for module, tree in trees.items():
+        names, modules = {}, {}  # local name -> (module, name), local name -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        names[local] = (node.module, alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(names.get(node.id, (module, node.id)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add((modules[node.value.id], node.attr))
+    assert len(defined) >= 20  # the walk found the constants at all
+    unread = sorted(f"{module}.{name}" for module, name in defined - read)
+    assert not unread, f"module-level constants no moelab module reads: {unread}"

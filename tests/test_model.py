@@ -274,6 +274,19 @@ class TestGenerate:
             generate(model, prompt, new_tokens)
         assert calls == []
 
+    def test_temperature_too_small_for_the_logits_named_before_the_draw(self, monkeypatch):
+        model = Model(tiny_config(seed=6))
+
+        class NoDraws:
+            def choice(self, *args, **kwargs):
+                raise AssertionError("a token was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+        # logits / 1e-320 overflows; a RuntimeWarning would fail this test (warnings are errors)
+        with pytest.raises(ValueError, match="temperature 1e-320 is too small: the logits "
+                                             "at position 1 divided by it overflow"):
+            generate(model, [5, 6], 3, temperature=1e-320)
+
     def test_numpy_integer_prompt_accepted(self):
         model = Model(tiny_config(seed=6))
         prompt = np.array([5, 6], dtype=np.int32)

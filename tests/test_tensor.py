@@ -10,8 +10,8 @@ import pytest
 
 from moelab.errors import GraphConsumedError, ShapeError
 from moelab.model import Model, attention, desk_config, generate
-from moelab.optim import AdamState, adam_step, clip_global_norm
-from moelab.tensor import (Tensor, concat, cross_entropy, embedding, gelu, grad_check,
+from moelab.optim import CLIP_NORM, AdamState, adam_step, clip_global_norm
+from moelab.tensor import (LN_EPS, Tensor, concat, cross_entropy, embedding, gelu, grad_check,
                            layer_norm, linear, no_grad, softmax)
 from moelab.trainer import total_loss
 
@@ -117,37 +117,39 @@ class TestGelu:
 
 class TestLayerNorm:
     def test_constant_row_eps_guard(self):
-        out = layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
+        out = layer_norm(Tensor([[4.0, 4.0, 4.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0, atol=1e-12)
 
     def test_hand_normalization(self):
-        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)), 0.0)
-        assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-12)
+        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        # mean 2, variance 1
+        assert np.allclose(out.data, [[-1.0, 1.0]] / np.sqrt(1.0 + LN_EPS), atol=1e-12)
 
     def test_zero_gain_yields_bias(self):
         bias = np.array([1.0, 2.0, 3.0])
         out = layer_norm(Tensor(np.random.default_rng(0).normal(size=(4, 3))),
-                         Tensor(np.zeros(3)), Tensor(bias), 1e-5)
+                         Tensor(np.zeros(3)), Tensor(bias))
         assert np.allclose(out.data, np.broadcast_to(bias, (4, 3)), atol=1e-12)
 
     def test_normalizes_rows(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 16)) * 3 + 1
-        out = layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16)), 1e-12)
-        assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(out.data.var(axis=-1), 1.0, atol=1e-6)
+        out = layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16)))
+        var = x.var(axis=-1)
+        assert np.allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
+        assert np.allclose(out.data.var(axis=-1), var / (var + LN_EPS), atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)), 1e-5)
+            layer_norm(Tensor(np.ones((2, 4))), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     def test_bitwise_equal_to_the_mean_formula(self):
         rng = np.random.default_rng(8)
         x, gain, bias = rng.normal(size=(3, 5, 128)) * 2 + 1, rng.normal(size=128), rng.normal(size=128)
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-        want = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
-        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), 1e-5)
+        want = (x - mu) * (1.0 / np.sqrt(var + LN_EPS)) * gain + bias
+        got = layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
         assert np.array_equal(got.data, want)
 
 
@@ -348,7 +350,7 @@ OPS = {
     "matmul": lambda ts: linear(ts[0], ts[1].transpose()).sum(),
     "gelu": lambda ts: gelu(linear(ts[0], ts[1].transpose())).sum(),
     "softmax": lambda ts: (softmax(ts[0]) * ts[1]).sum(),
-    "mean": lambda ts: (ts[0].mean(axis=0) * ts[1]).mean() * 3.0,
+    "sum_axis0": lambda ts: (ts[0].sum(axis=0) * ts[1]).sum() * 3.0,
 }
 
 
@@ -373,7 +375,7 @@ def test_layer_norm_gradients_match_finite_differences(seed):
     bias = Tensor(rng.normal(size=d), requires_grad=True)
 
     def loss():
-        return square_sum(layer_norm(x, gain, bias, 1e-5))
+        return square_sum(layer_norm(x, gain, bias))
 
     assert grad_check(loss, [x, gain, bias], h=1e-5, samples=24, seed=seed) < 1e-4
 
@@ -581,7 +583,7 @@ def test_clip_global_norm_scales_to_bound():
               "b": Tensor(np.zeros(1), requires_grad=True)}
     params["a"].grad = np.array([3.0, 0.0])
     params["b"].grad = np.array([4.0])
-    norm = clip_global_norm(params, 1.0)
+    norm = clip_global_norm(params)
     assert abs(norm - 5.0) < 1e-12
     joint = np.concatenate([params["a"].grad, params["b"].grad])
-    assert abs(np.linalg.norm(joint) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(joint) - CLIP_NORM) < 1e-12

@@ -124,17 +124,17 @@ class TestTotalLoss:
             "MoE block: ln2, reshape, gate transpose and linear, softmax, concat, "
             "unpermute, probability pick, scale, reshape, residual": 11,
             "2 active experts: row pick, linear, gelu, linear": 2 * 4,
-            "balance loss: mean (sum, scale), p * f, sum, * N": 5,
+            "balance loss: sum over tokens, * 1/T, p * f, sum, * N": 5,
             "head: lnf, tok_emb transpose, logits linear, reshape, cross-entropy": 5,
             "alpha * balance, lm + moe": 2,
         }
-        constants = 4  # mean's 1/T, f, N and alpha
+        constants = 4  # 1/T, f, N and alpha
         params = model.named_parameters()  # all 41 are on the loss path
         assert len(seen) == len(params) + constants + sum(ops.values())
 
 
 class TestLrSchedule:
-    SCHED = LrSchedule(peak=2e-3, warmup_steps=10, decay_steps=40, min_lr=2e-4)
+    SCHED = LrSchedule(peak=2e-3, warmup_steps=10, decay_steps=40)  # floor 2e-3 * FLOOR_FRAC
 
     def test_warmup_starts_at_zero(self):
         assert lr_at_step(0, self.SCHED) == 0.0
@@ -158,7 +158,8 @@ class TestLrSchedule:
     def test_for_total_steps_defaults(self):
         sched = LrSchedule.for_total_steps(1e-3, 1000)
         assert sched.warmup_steps == 10
-        assert sched.min_lr == pytest.approx(1e-4)
+        assert sched.decay_steps == 990
+        assert lr_at_step(1000, sched) == pytest.approx(1e-4)
 
 
 def word_docs(n_docs=4, words_per_doc=120, seed=0):
@@ -261,10 +262,10 @@ class TestNonFinite:
         tr = self._trainer(word_tokenizer)
         real_clip = trainer_mod.clip_global_norm
 
-        def poisoned_clip(params, max_norm):
+        def poisoned_clip(params):
             params["layers.1.moe.gate"].grad[0, 0] = np.nan
             params["lnf.gain"].grad[0] = np.inf
-            return real_clip(params, max_norm)
+            return real_clip(params)
 
         monkeypatch.setattr(trainer_mod, "clip_global_norm", poisoned_clip)
         before = self._snapshot(tr)
@@ -362,6 +363,30 @@ class TestCheckpoint:
         message = str(exc.value)
         assert path in message and "'layers.0.attn.wk'" in message
         assert "(16, 15)" in message and "(16, 16)" in message
+
+    def test_tensors_of_layers_the_header_does_not_describe_rejected(self, tmp_path):
+        path = str(tmp_path / "deep.ckpt")
+        save_checkpoint(Model(tiny_config(n_layers=4)), path)
+        self._rewrite(path, lambda header, tensors: header["model"].update(n_layers=2))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert path in str(exc.value) and "'layers.2.ln1.gain'" in str(exc.value)
+        # the constructor itself still takes the names it knows and ignores the rest
+        _, tensors = read_checkpoint(path)
+        shallow = Model(tiny_config(n_layers=2), tensors)
+        assert all(p.data is tensors[n] for n, p in shallow.named_parameters().items())
+
+    def test_adam_tensor_without_trainer_state_rejected(self, tmp_path):
+        path = str(tmp_path / "weights.ckpt")
+        save_checkpoint(Model(tiny_config()), path)
+
+        def add_moment(header, tensors):
+            tensors["adam.m.lnf.gain"] = np.zeros_like(tensors["lnf.gain"])
+
+        self._rewrite(path, add_moment)
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert path in str(exc.value) and "'adam.m.lnf.gain'" in str(exc.value)
 
     def test_removed_config_field_in_header_rejected(self, tmp_path):
         path = str(tmp_path / "old.ckpt")
