@@ -63,7 +63,8 @@ class DistanceMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         n = len(self.codes)
         if len(set(self.codes)) != n:
-            raise ValueError("duplicate language codes in distance matrix")
+            dup = next(c for i, c in enumerate(self.codes) if self.codes.index(c) < i)
+            raise ValueError(f"language code {dup!r} appears twice in distance matrix")
         if self.values.shape != (n, n):
             raise ShapeError(f"matrix shape {self.values.shape} does not match {n} codes")
         v = self.values
@@ -182,8 +183,10 @@ def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, in
     """
     if not thresholds or not all(map(math.isfinite, thresholds)):
         raise ValueError(f"thresholds must be finite numbers, at least one, got {thresholds!r}")
-    if list(thresholds) != sorted(thresholds):
-        raise ValueError("thresholds must be sorted ascending")
+    pair = next(((lo, hi) for lo, hi in zip(thresholds, thresholds[1:]) if lo > hi), None)
+    if pair is not None:
+        raise ValueError(f"thresholds must be sorted ascending, but {pair[0]!r} "
+                         f"comes before {pair[1]!r}")
     b_codes = set(b.codes)
     common = [c for c in a.codes if c in b_codes]
     missing = next((c for c in common if c not in counts), None)

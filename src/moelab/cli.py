@@ -177,8 +177,6 @@ def cmd_perplexity(args) -> int:
         nll_sum[doc.lang] = nll_sum.get(doc.lang, 0.0) + breakdown.lm_loss * n
         tok_count[doc.lang] = tok_count.get(doc.lang, 0) + n
     total_tok = sum(tok_count.values())
-    if total_tok == 0:
-        raise ValueError("corpus contained no scorable tokens")
     print("lang\tperplexity\ttokens")
     for lang in sorted(nll_sum):
         print(f"{lang}\t{math.exp(nll_sum[lang] / tok_count[lang]):.4f}\t{tok_count[lang]}")

@@ -48,7 +48,10 @@ def normalize_lang(raw, where: str) -> str:
 
 
 def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
-    """`{"lang": ..., "text": ...}` lines as documents in file order, and counts per language."""
+    """`{"lang": ..., "text": ...}` lines as documents in file order, and counts per language.
+
+    Blank lines are skipped; a file with no document raises FormatError.
+    """
     docs: list[Document] = []
     counts: Counter[str] = Counter()
     with open(path, encoding="utf-8") as fh:
@@ -70,6 +73,8 @@ def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
             lang = normalize_lang(obj["lang"], where)
             docs.append(Document(lang, obj["text"]))
             counts[lang] += 1
+    if not docs:
+        raise FormatError(f"{path}: no documents")
     return docs, dict(counts)
 
 

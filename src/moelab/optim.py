@@ -23,20 +23,33 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update in place; missing gradients count as zero."""
-    if set(params) != set(state.m):
-        raise ShapeError("optimizer state does not cover the same parameter names")
+    """One bias-corrected Adam update in place; missing gradients count as zero.
+
+    Names and shapes of both moments and of every gradient are checked before
+    anything is written, so a mismatch raises ShapeError naming the first one
+    and leaves parameters, moments and state.step as they were.
+    """
+    for kind, moments in (("m", state.m), ("v", state.v)):
+        missing = next((name for name in params if name not in moments), None)
+        if missing is not None:
+            raise ShapeError(f"optimizer state's {kind} moments lack parameter {missing!r}")
+        extra = next((name for name in moments if name not in params), None)
+        if extra is not None:
+            raise ShapeError(f"optimizer state's {kind} moments include {extra!r}, "
+                             "which is not a parameter")
+    for name, p in params.items():
+        for what, arr in (("m moment", state.m[name]), ("v moment", state.v[name]),
+                          ("gradient", p.grad)):
+            if arr is not None and arr.shape != p.data.shape:
+                raise ShapeError(f"{what} shape {arr.shape} does not match parameter "
+                                 f"{name!r} {p.data.shape}")
     state.step += 1
     t = state.step
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
     for name, p in params.items():
         m, v = state.m[name], state.v[name]
-        if m.shape != p.data.shape:
-            raise ShapeError(f"moment shape {m.shape} does not match parameter {name} {p.data.shape}")
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {name} {p.data.shape}")
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2

@@ -311,27 +311,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer `targets` under row-softmax of `logits`.
+    """Mean negative log-likelihood of integer `targets` under row-softmax of (..., V) `logits`.
 
-    Backward is the fused (softmax - one_hot) / rows form, written into the
-    probability buffer, so the op holds one logits-sized array beyond its input.
+    Targets have the logits' leading shape. Backward is the fused
+    (softmax - one_hot) / rows form, written into the probability buffer, so
+    the op holds one logits-sized array beyond its input.
     """
-    if logits.data.ndim != 2:
-        raise ShapeError(f"cross_entropy expects a rank-2 logits matrix, got {logits.data.shape}")
     targets = np.asarray(targets)
-    if targets.ndim != 1 or targets.shape[0] != logits.data.shape[0]:
-        raise ShapeError(
-            f"targets shape {targets.shape} does not match logits rows {logits.data.shape[0]}")
+    shape = logits.data.shape
+    if not shape or targets.shape != shape[:-1]:
+        raise ShapeError(f"targets shape {targets.shape} does not align with logits {shape}")
     if targets.size == 0:
         raise ValueError("cross_entropy needs at least one target")
     if targets.dtype.kind not in "iu":
         raise ValueError(f"targets must be integers, got {targets.dtype}: "
                          f"position 0 holds {targets.flat[0]!r}")
-    n, v = logits.data.shape
+    v = shape[-1]
+    targets = targets.reshape(-1)
+    n = targets.size
     bad = np.nonzero((targets < 0) | (targets >= v))[0]
     if bad.size:
         raise ValueError(f"target id {targets[bad[0]]} at position {bad[0]} outside [0, {v})")
-    p = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits.data.reshape(n, v)
+    p = z - z.max(axis=1, keepdims=True)
     picked = p[np.arange(n), targets]
     np.exp(p, out=p)
     norm = p.sum(axis=1, keepdims=True)
@@ -343,7 +345,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         scale = float(g) / n
         np.multiply(p, scale, out=p)
         p[np.arange(n), targets] -= scale
-        logits._accum(p)
+        logits._accum(p.reshape(shape))
 
     return Tensor._op(np.asarray(loss), (logits,), bwd)
 

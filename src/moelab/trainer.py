@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import Document, sample_batch
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError
 from .fileio import atomic_write_text
 from .model import ForwardOutput, Model, ModelConfig
 from .optim import AdamState, adam_step, clip_global_norm
@@ -40,12 +40,7 @@ def total_loss(output: ForwardOutput, targets, alpha: float) -> LossBreakdown:
 
     Logits are (T, V) for targets (T,) or (B, T, V) for targets (B, T).
     """
-    logits = output.logits
-    targets = np.asarray(targets)
-    if targets.shape != logits.shape[:-1]:
-        raise ShapeError(
-            f"targets shape {targets.shape} does not align with logits {logits.shape}")
-    lm = cross_entropy(logits.reshape(targets.size, logits.shape[-1]), targets.reshape(-1))
+    lm = cross_entropy(output.logits, targets)
     moe = output.moe_stats[0].balance
     for stats in output.moe_stats[1:]:
         moe = moe + stats.balance
@@ -140,18 +135,19 @@ class Trainer:
         self.step = 0
         self.tokens_seen = 0
 
-    def train_step(self, batch: np.ndarray, step: int) -> LossBreakdown:
-        """One forward/backward/Adam update on a (B, L+1) id batch.
+    def train_step(self, batch: np.ndarray) -> LogRow:
+        """Step self.step on a (B, L+1) id batch: forward, backward, Adam; returns its log row.
 
-        A non-finite loss or gradient norm raises FloatingPointError before
-        the update, so parameters and optimizer state stay as they were.
+        step and tokens_seen advance after the update: a bad batch or a
+        non-finite loss or gradient norm raises before it, leaving parameters,
+        optimizer state and both counters as they were.
         """
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[0] == 0 or batch.shape[1] < 2:
             raise ValueError(f"batch must be (B, L+1) with B >= 1 and L >= 1, got {batch.shape}")
-        inputs, targets = batch[:, :-1], batch[:, 1:]
-        out = self.model.forward(inputs)
-        breakdown = total_loss(out, targets, self.model.config.alpha)
+        step = self.step
+        out = self.model.forward(batch[:, :-1])
+        breakdown = total_loss(out, batch[:, 1:], self.model.config.alpha)
         if not math.isfinite(breakdown.total_loss):
             raise FloatingPointError(f"step {step}: total loss is {breakdown.total_loss}")
         self.model.zero_grad()
@@ -163,26 +159,21 @@ class Trainer:
             self.model.zero_grad()
             raise FloatingPointError(f"step {step}: gradient norm is {norm}"
                                      + (f", first non-finite gradient in {bad!r}" if bad else ""))
-        adam_step(self.params, self.adam, lr=lr_at_step(step, self.schedule))
+        lr = lr_at_step(step, self.schedule)
+        adam_step(self.params, self.adam, lr=lr)
         self.model.zero_grad()
-        return breakdown
+        self.step += 1
+        self.tokens_seen += batch.shape[0] * (batch.shape[1] - 1)
+        return LogRow(step, breakdown.lm_loss, breakdown.moe_loss, breakdown.total_loss, lr,
+                      self.tokens_seen)
 
     def run(self, steps: int) -> list[LogRow]:
         """Train for `steps` steps (at least 1; checked before any step)."""
         if steps < 1:
             raise ValueError(f"steps must be at least 1, got {steps}")
-        rows: list[LogRow] = []
-        for _ in range(steps):
-            step = self.step
-            batch = sample_batch(self.docs, self.batch_size, self.seq_len,
-                                 self.tokenizer, self.seed, step)
-            breakdown = self.train_step(batch, step)
-            self.step += 1
-            self.tokens_seen += batch.shape[0] * (batch.shape[1] - 1)
-            rows.append(LogRow(step, breakdown.lm_loss, breakdown.moe_loss,
-                               breakdown.total_loss, lr_at_step(step, self.schedule),
-                               self.tokens_seen))
-        return rows
+        return [self.train_step(sample_batch(self.docs, self.batch_size, self.seq_len,
+                                             self.tokenizer, self.seed, self.step))
+                for _ in range(steps)]
 
     # -- persistence -----------------------------------------------------------
 
@@ -236,7 +227,8 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
     non-negative integers; anything else raises FormatError naming the field.
     Every tensor must be a parameter of the model the header describes or,
     when the header has a trainer state, one of its Adam moments; the first
-    tensor that is neither raises FormatError naming it.
+    tensor that is neither, and the first moment whose shape is not its
+    parameter's, raises FormatError naming it.
     """
     header, tensors = read_checkpoint(path)
     if not isinstance(header.get("model"), dict):
@@ -268,6 +260,9 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
                 key = f"adam.{kind}.{name}"
                 if key not in tensors:
                     raise FormatError(f"{path}: checkpoint is missing optimizer tensor {key!r}")
+                if tensors[key].shape != tensors[name].shape:
+                    raise FormatError(f"{path}: optimizer tensor {key!r} has shape "
+                                      f"{tensors[key].shape}, expected {tensors[name].shape}")
                 moments[name] = np.require(tensors[key], np.float64, "CAW")
         state = {**state, "adam": adam}
     return model, state

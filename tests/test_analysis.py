@@ -314,9 +314,10 @@ class TestFilterAndSweep:
         assert ns == sorted(ns, reverse=True)
 
     def test_unsorted_thresholds_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^thresholds must be sorted ascending, but 3 "
+                                             "comes before 1$"):
             correlation_sweep(distance_matrix(self.vectors()), symmetric_matrix(
-                self.CODES, np.random.default_rng(0)), self.COUNTS, [10, 0])
+                self.CODES, np.random.default_rng(0)), self.COUNTS, [0, 3, 3, 1])
 
 
 class TestTsvFormats:
@@ -363,7 +364,9 @@ class TestTsvFormats:
     @pytest.mark.parametrize("text, problem", [
         ("lang\taa\tbb\n\naa\t0\t0.5\n\nbb\t0.5\tx\n", "line 5: could not convert"),
         ("lang\taa\tbb\n\n\naa\t0\t0.5\nbb\t0.5\n", "line 5 does not match"),
-    ], ids=["bad_cell", "short_row"])
+        ("lang\taa\tbb\taa\naa\t0\t1\t0\nbb\t1\t0\t1\naa\t0\t1\t0\n",
+         "language code 'aa' appears twice in distance matrix$"),
+    ], ids=["bad_cell", "short_row", "repeated_code"])
     def test_matrix_tsv_errors_name_the_file_line(self, tmp_path, text, problem):
         path = tmp_path / "m.tsv"
         path.write_text(text)

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, file outputs, determinism."""
 
+import ast
 import hashlib
 import json
 import os
@@ -220,7 +221,32 @@ class TestRuntimeFailures:
                      "--tokenizer", workspace["tok"], "--corpus", str(empty)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: corpus contained no scorable tokens\n"
+        assert captured.err == f"error: {empty}: no documents\n"
+
+    @pytest.mark.parametrize("sub", ["tokenizer-train", "train", "analyze-routing"])
+    def test_an_empty_corpus_is_named_before_anything_is_written(self, workspace, tmp_path,
+                                                                capsys, sub):
+        blank = tmp_path / "in" / "blank.jsonl"
+        blank.parent.mkdir()
+        blank.write_text("\n \n")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "tokenizer-train": ["--input", str(blank), "--vocab-size", "300",
+                                "--output", str(out / "tok.json")],
+            "train": ["--config", workspace["config"], "--corpus", str(blank),
+                      "--tokenizer", workspace["tok"], "--steps", "2", "--batch-size", "2",
+                      "--seed", "7", "--checkpoint-out", str(out / "m.ckpt"),
+                      "--log", str(out / "log.tsv")],
+            "analyze-routing": ["--checkpoint", workspace["ckpt"], "--tokenizer", workspace["tok"],
+                                "--corpus", str(blank), "--sequences-per-lang", "1",
+                                "--seed", "2", "--out-dir", str(out / "routing")],
+        }[sub]
+        assert main([sub, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {blank}: no documents\n"
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("steps", ["0", "-2"])
     def test_train_without_steps_writes_nothing(self, workspace, tmp_path, capsys, steps):
@@ -453,10 +479,11 @@ class TestPipeline:
         counts = tmp_path / "counts.tsv"
         counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
         assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
-                     "--doc-counts", str(counts), "--thresholds", "5,0"]) == 1
+                     "--doc-counts", str(counts), "--thresholds", "5,1,2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "sorted" in captured.err
+        assert captured.err == ("error: thresholds must be sorted ascending, but 5.0 comes "
+                                "before 1.0\n")
 
     def test_correlate_requires_paired_flags(self, workspace, capsys):
         assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
@@ -599,14 +626,23 @@ def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
         assert not unused, f"{module.__name__} functions no product path enters: {unused}"
 
 
+def source_trees():
+    """Module stem -> parsed source, for each module of moelab."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in Path(moelab.__file__).parent.glob("*.py")}
+
+
+def loaded_names(nodes):
+    """The names read (not assigned) anywhere inside `nodes`."""
+    return {n.id for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def test_every_module_constant_is_read():
     """Static check over moelab's source: each module-level constant is read by
     some moelab module, by plain name in its own module, through a
     `from .module import NAME`, or as an attribute of an imported module."""
-    import ast
-
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in Path(moelab.__file__).parent.glob("*.py")}
+    trees = source_trees()
     defined = set()
     for module, tree in trees.items():
         for node in tree.body:
@@ -634,3 +670,33 @@ def test_every_module_constant_is_read():
     assert len(defined) >= 20  # the walk found the constants at all
     unread = sorted(f"{module}.{name}" for module, name in defined - read)
     assert not unread, f"module-level constants no moelab module reads: {unread}"
+
+
+def test_every_import_and_parameter_is_used():
+    """Static check over moelab's source: each imported name is read in its
+    module (or listed in its __all__), and each parameter of a function or
+    lambda is read in that function's body."""
+    unused, unread, n_params = [], [], 0
+    for module, tree in source_trees().items():
+        read = loaded_names([tree])
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= {e.value for e in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                unused += [f"{module}: {alias.asname or alias.name} (line {node.lineno})"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in read]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                          *filter(None, [a.vararg, a.kwarg])]
+                body = loaded_names(node.body if isinstance(node.body, list) else [node.body])
+                n_params += len(params)
+                unread += [f"{module}.{getattr(node, 'name', '<lambda>')}: {p.arg} "
+                           f"(line {node.lineno})" for p in params if p.arg not in body]
+    assert n_params >= 200  # the walk found the functions at all
+    assert not unused, f"imported names no code of their module reads: {unused}"
+    assert not unread, f"parameters their function never reads: {unread}"

@@ -40,9 +40,11 @@ class TestLoadJsonl:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text("")
-        docs, counts = load_jsonl(str(path))
-        assert docs == [] and counts == {}
+        for text in ("", "\n  \n\t\n"):
+            path.write_text(text)
+            with pytest.raises(FormatError) as exc:
+                load_jsonl(str(path))
+            assert str(exc.value) == f"{path}: no documents"
 
     def test_lang_lowercased_and_validated(self, tmp_path):
         path = tmp_path / "c.jsonl"

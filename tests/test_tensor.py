@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -187,6 +188,26 @@ class TestCrossEntropy:
     def test_out_of_range_target_names_index(self):
         with pytest.raises(ValueError, match="position 1"):
             cross_entropy(Tensor(np.zeros((3, 4))), [0, 9, 1])
+
+    def test_batched_logits_equal_their_flat_rows_bitwise(self):
+        rng = np.random.default_rng(14)
+        logits, targets = rng.normal(size=(2, 3, 11)), rng.integers(0, 11, size=(2, 3))
+        batched = Tensor(logits.copy(), requires_grad=True)
+        flat = Tensor(logits.reshape(6, 11).copy(), requires_grad=True)
+        loss_b, loss_f = cross_entropy(batched, targets), cross_entropy(flat, targets.reshape(6))
+        assert loss_b.item() == loss_f.item()
+        loss_b.backward()
+        loss_f.backward()
+        assert batched.grad.shape == (2, 3, 11)
+        assert np.array_equal(batched.grad.reshape(6, 11), flat.grad)
+
+    @pytest.mark.parametrize("logits, targets", [
+        ((2, 3, 5), (3, 2)), ((2, 3, 5), (6,)), ((4, 5), (5,)), ((), ()),
+    ], ids=["transposed", "flat_targets", "rows", "scalar_logits"])
+    def test_shape_mismatch_names_both_shapes(self, logits, targets):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"targets shape {targets} does not align with logits {logits}")):
+            cross_entropy(Tensor(np.zeros(logits)), np.zeros(targets, dtype=int))
 
 
 class TestBackward:
@@ -576,6 +597,35 @@ class TestAdam:
         params["p0"].grad = np.zeros(3)
         with pytest.raises(ShapeError):
             adam_step(params, state, lr=0.1)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params, state: state.m.update(p2=np.zeros(3)),
+         "m moment shape (3,) does not match parameter 'p2' (2,)"),
+        (lambda params, state: state.v.update(p1=np.zeros(3)),
+         "v moment shape (3,) does not match parameter 'p1' (2,)"),
+        (lambda params, state: setattr(params["p2"], "grad", np.ones(3)),
+         "gradient shape (3,) does not match parameter 'p2' (2,)"),
+        (lambda params, state: state.v.pop("p1"),
+         "optimizer state's v moments lack parameter 'p1'"),
+        (lambda params, state: state.m.update(q=np.zeros(2)),
+         "optimizer state's m moments include 'q', which is not a parameter"),
+    ], ids=["m_shape", "v_shape", "grad_shape", "missing_name", "extra_name"])
+    def test_mismatch_raises_before_anything_is_written(self, edit, message):
+        params = self._params([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
+        for p in params.values():
+            p.grad = np.array([0.5, -2.0])
+        state = AdamState(params)
+        adam_step(params, state, lr=0.1)  # non-zero moments, so "unchanged" is a real check
+        edit(params, state)
+        before = ({n: p.data.copy() for n, p in params.items()},
+                  {n: a.copy() for n, a in state.m.items()},
+                  {n: a.copy() for n, a in state.v.items()})
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            adam_step(params, state, lr=0.1)
+        assert state.step == 1
+        for old, new in zip(before, ({n: p.data for n, p in params.items()}, state.m, state.v)):
+            assert old.keys() == new.keys()
+            assert all(np.array_equal(old[n], new[n]) for n in old)
 
 
 def test_clip_global_norm_scales_to_bound():

@@ -125,7 +125,7 @@ class TestTotalLoss:
             "unpermute, probability pick, scale, reshape, residual": 11,
             "2 active experts: row pick, linear, gelu, linear": 2 * 4,
             "balance loss: sum over tokens, * 1/T, p * f, sum, * N": 5,
-            "head: lnf, tok_emb transpose, logits linear, reshape, cross-entropy": 5,
+            "head: lnf, tok_emb transpose, logits linear, cross-entropy": 4,
             "alpha * balance, lm + moe": 2,
         }
         constants = 4  # 1/T, f, N and alpha
@@ -191,8 +191,38 @@ class TestTrainer:
         model = Model(tiny_config())
         tr = Trainer(model, word_docs(), word_tokenizer,
                      LrSchedule.for_total_steps(1e-3, 10), batch_size=2, seed=0)
-        with pytest.raises(ValueError):
-            tr.train_step(np.zeros((0, 9), dtype=int), 0)
+        with pytest.raises(ValueError, match=r"got \(0, 9\)"):
+            tr.train_step(np.zeros((0, 9), dtype=int))
+        assert (tr.step, tr.tokens_seen) == (0, 0)
+
+    def test_train_step_returns_the_row_run_would(self, word_tokenizer):
+        trainers = []
+        for _ in range(2):
+            model = Model(tiny_config(seed=8))
+            tr = Trainer(model, word_docs(), word_tokenizer,
+                         LrSchedule.for_total_steps(1e-3, 10), batch_size=2, seed=8)
+            tr.run(2)  # past warmup, so the row's lr is not 0
+            trainers.append(tr)
+        by_run, by_step = trainers
+        want = by_run.run(1)[0]
+        batch = trainer_mod.sample_batch(by_step.docs, 2, by_step.seq_len, by_step.tokenizer,
+                                         8, by_step.step)
+        got = by_step.train_step(batch)
+        assert got == want
+        assert (got.step, got.lr, got.tokens_seen) == (2, lr_at_step(2, by_step.schedule), 3 * 32)
+        assert (by_step.step, by_step.tokens_seen) == (3, 3 * 32)
+        for name, p in by_step.params.items():
+            assert np.array_equal(p.data, by_run.params[name].data), name
+
+    def test_each_step_reads_the_schedule_once(self, word_tokenizer, monkeypatch):
+        calls = []
+        real = trainer_mod.lr_at_step
+        monkeypatch.setattr(trainer_mod, "lr_at_step",
+                            lambda step, schedule: calls.append(step) or real(step, schedule))
+        tr = Trainer(Model(tiny_config(seed=3)), word_docs(), word_tokenizer,
+                     LrSchedule.for_total_steps(1e-3, 10), batch_size=2, seed=3)
+        tr.run(3)
+        assert calls == [0, 1, 2]
 
     def test_first_step_loss_near_log_vocab(self, word_tokenizer):
         model = Model(tiny_config(seed=11))
@@ -241,13 +271,13 @@ class TestNonFinite:
     def _snapshot(tr):
         return ([p.data.copy() for p in tr.params.values()],
                 [m.copy() for m in tr.adam.m.values()], [v.copy() for v in tr.adam.v.values()],
-                tr.adam.step)
+                tr.adam.step, tr.step, tr.tokens_seen)
 
     def _assert_unchanged(self, tr, before):
         after = self._snapshot(tr)
         for old, new in zip(before[:3], after[:3]):
             assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(old, new))
-        assert before[3] == after[3]
+        assert before[3:] == after[3:]
 
     def test_nan_weight_stops_the_step(self, word_tokenizer):
         tr = self._trainer(word_tokenizer)
@@ -256,7 +286,7 @@ class TestNonFinite:
         with pytest.raises(FloatingPointError, match="step 2: total loss is nan"):
             tr.run(1)
         self._assert_unchanged(tr, before)
-        assert tr.step == 2
+        assert (tr.step, tr.tokens_seen) == (2, 2 * 2 * 16)
 
     def test_nan_gradient_names_first_parameter(self, word_tokenizer, monkeypatch):
         tr = self._trainer(word_tokenizer)
@@ -421,6 +451,21 @@ class TestCheckpoint:
         resumed = Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2)
         assert resumed.adam.step == 2
         assert [r.total_loss for r in resumed.run(1)] == [r.total_loss for r in tr.run(1)]
+
+    @pytest.mark.parametrize("key", ["adam.m.lnf.bias", "adam.v.layers.0.attn.wk"],
+                             ids=["m", "v"])
+    def test_wrongly_shaped_moment_rejected(self, tmp_path, word_tokenizer, key):
+        tr = Trainer(Model(tiny_config(seed=33)), word_docs(), word_tokenizer,
+                     LrSchedule.for_total_steps(1e-3, 10), batch_size=2, seed=33)
+        tr.run(2)
+        path = str(tmp_path / "moment.ckpt")
+        save_checkpoint(tr.model, path, tr)
+        self._rewrite(path, lambda header, tensors: tensors.update({key: np.zeros(3)}))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        shape = tr.params[key.split(".", 2)[2]].data.shape
+        assert str(exc.value) == (f"{path}: optimizer tensor {key!r} has shape (3,), "
+                                  f"expected {shape}")
 
     def test_resume_matches_unbroken_run(self, tmp_path, word_tokenizer):
         docs = word_docs(seed=3)
