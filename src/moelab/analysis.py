@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import FormatError, ShapeError
 from .fileio import atomic_write_text
@@ -111,7 +112,7 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
     n_experts = model.config.n_experts
     vectors = []
     for lang in languages:
-        rng = np.random.default_rng([seed, present.index(lang)])
+        rng = default_rng([seed, present.index(lang)])
         lang_docs = [d for d in docs if d.lang == lang]
         seqs = pack_sequences(lang_docs, sequences_per_lang, seq_len, tokenizer, rng)
         seqs = seqs[:, :seq_len]  # routing needs inputs only, no shifted targets

@@ -1,7 +1,7 @@
 """Binary checkpoint container: magic, JSON header, named tensors.
 
 Layout (little-endian):
-    8 bytes  magic "MOECKPT1"
+    8 bytes  magic "MOECKPT2"
     u32      JSON header byte length, then that many UTF-8 bytes
     u32      tensor count
     per tensor:
@@ -13,7 +13,9 @@ Layout (little-endian):
 
 Parameters are written as float64 so that loading restores them bitwise and
 a resumed training run follows the original trajectory exactly; float32
-entries are accepted on read.
+entries are accepted on read. Version 1 files hold models whose GELU was
+the exact (erf) form; they are refused, because the same weights compute
+another function under the tanh form.
 
 Tensors stream between the file and their arrays in both directions. The
 writer hands each array's own buffer to the file, so saving copies no tensor
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import FormatError
 from .fileio import atomic_write
 
-MAGIC = b"MOECKPT1"
+MAGIC = b"MOECKPT2"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _DTYPE_CODES = {np.dtype("float32"): 0, np.dtype("float64"): 1}
 _MAX_BYTES = np.iinfo(np.intp).max  # the largest array numpy can describe

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .analysis import DistanceMatrix
 from .errors import FormatError
@@ -144,7 +145,7 @@ def sample_batch(docs: list[Document], batch_size: int, seq_len: int, tokenizer,
         raise ValueError(f"batch_size and seq_len must be positive, got {batch_size}, {seq_len}")
     if seed < 0 or step < 0:
         raise ValueError(f"seed and step must be non-negative, got {seed}, {step}")
-    rng = np.random.default_rng([seed, step])
+    rng = default_rng([seed, step])
     return pack_sequences(docs, batch_size, seq_len, tokenizer, rng)
 
 
@@ -165,7 +166,7 @@ def synth_corpus(n_families: int, langs_per_family: int, docs_per_lang: int,
     if langs_per_family > 26 or n_families > 26:
         raise ValueError("language codes support at most 26 families of 26 languages")
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     docs: list[Document] = []
     codes: list[str] = []
     for f in range(n_families):

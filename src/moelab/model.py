@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import ConfigError, FormatError, ShapeError
 from .moe import FeedForward, MoeLayer, RoutingStats, ffn_forward, moe_forward
@@ -29,7 +30,7 @@ class ModelConfig:
     """The eight settings of a model: six sizes, the balance-loss weight, the init seed.
 
     The feed-forward width (FFN_MULTIPLIER * d_model), the MoE placement (odd
-    layers) and the activation (exact GELU) are fixed. A dict or file that
+    layers) and the activation (tanh-form GELU) are fixed. A dict or file that
     sets any other field is rejected as unknown.
     """
 
@@ -196,7 +197,7 @@ class Model:
     def __init__(self, config: ModelConfig, weights: dict[str, np.ndarray] | None = None):
         config.validate()
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = default_rng(config.seed)
         d = config.d_model
         hidden = FFN_MULTIPLIER * d
         self._params: dict[str, Tensor] = {}
@@ -420,7 +421,7 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
             f"max_seq_len {model.config.max_seq_len}")
     if not math.isfinite(temperature) or temperature < 0:
         raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     cache = KVCache(model.config, batch=1)
     step = np.asarray(ids)
     with no_grad():

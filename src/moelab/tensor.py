@@ -29,12 +29,14 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
+from numpy.random import default_rng
 
 from .errors import GraphConsumedError, ShapeError
 
 _grad_enabled = True
 LN_EPS = 1e-5  # added to the variance in layer_norm
+GELU_CUBIC = 0.044715  # weight of x**3 inside gelu's tanh
+GELU_SCALE = math.sqrt(2.0 / math.pi)
 
 
 @contextmanager
@@ -264,14 +266,36 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian Error Linear Unit, x * CDF(x), with the exact Gaussian CDF."""
-    phi = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
+    """Gaussian Error Linear Unit in its tanh form (GPT-2's): x * phi, where
+    phi = 0.5 * (1 + tanh(c * (x + 0.044715 x^3))) and c = sqrt(2 / pi).
+
+    phi is computed in place in one buffer, so the forward allocates phi and
+    the output only. Backward reuses phi through 1 - tanh^2 = 4 phi (1 - phi):
+    d(x phi)/dx = phi + 2c phi (1 - phi) (x + 3 * 0.044715 x^3).
+    """
+    xd = x.data
+    phi = np.multiply(xd, xd, out=np.empty_like(xd))
+    phi *= GELU_SCALE * GELU_CUBIC
+    phi += GELU_SCALE
+    phi *= xd
+    np.tanh(phi, out=phi)
+    phi *= 0.5
+    phi += 0.5
 
     def bwd(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
-        x._accum(g * (phi + x.data * pdf))
+        slope = np.multiply(xd, xd, out=np.empty_like(xd))  # 2c (x + 3 * 0.044715 x^3)
+        slope *= 3.0 * GELU_CUBIC
+        slope += 1.0
+        slope *= xd
+        slope *= 2.0 * GELU_SCALE
+        gx = np.multiply(phi, phi, out=np.empty_like(phi))
+        np.subtract(phi, gx, out=gx)  # phi (1 - phi)
+        gx *= slope
+        gx += phi
+        gx *= g
+        x._accum(gx)
 
-    return Tensor._op(x.data * phi, (x,), bwd)
+    return Tensor._op(xd * phi, (x,), bwd)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -395,7 +419,7 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], h: float = 1e-
     loss.backward()
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     per_param = max(1, samples // len(params))
     worst = 0.0
     for p, ana in zip(params, analytic):

@@ -52,7 +52,10 @@ def total_loss(output: ForwardOutput, targets, alpha: float) -> LossBreakdown:
 
 @dataclass
 class LrSchedule:
-    """Linear warmup from zero to peak, cosine decay to peak * FLOOR_FRAC, then flat."""
+    """Linear warmup to peak, cosine decay to peak * FLOOR_FRAC, then flat.
+
+    Warmup step s runs at peak * (s + 1) / (warmup_steps + 1), so step 0 already trains.
+    """
 
     peak: float
     warmup_steps: int
@@ -68,7 +71,7 @@ def lr_at_step(step: int, schedule: LrSchedule) -> float:
     if step < 0:
         raise ValueError(f"step must be non-negative, got {step}")
     if step <= schedule.warmup_steps:
-        return schedule.peak * step / schedule.warmup_steps
+        return schedule.peak * ((step + 1) / (schedule.warmup_steps + 1))
     floor = schedule.peak * FLOOR_FRAC
     done = step - schedule.warmup_steps
     if done >= schedule.decay_steps:

@@ -54,6 +54,15 @@ def test_tiny_file_is_what_write_checkpoint_writes(tmp_path):
     assert header == {"k": 1} and np.array_equal(tensors["wt"], np.arange(6.0).reshape(2, 3))
 
 
+def test_version_one_file_is_refused(tmp_path):
+    # version 1 held models with the exact (erf) GELU; its header is otherwise the same
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(b"MOECKPT1" + TINY[len(MAGIC):])
+    with pytest.raises(FormatError) as exc:
+        read_checkpoint(str(path))
+    assert str(exc.value) == f"{path}: unsupported checkpoint version b'MOECKPT1' at offset 0"
+
+
 @pytest.mark.parametrize("field,start,cut", CUTS,
                          ids=[f"{field}+{cut - start}" for field, start, cut in CUTS])
 def test_truncation_at_every_boundary_names_the_offset(tmp_path, field, start, cut):

@@ -14,7 +14,8 @@ import pytest
 
 import moelab
 from moelab.cli import main
-from moelab.model import ModelConfig, param_count
+from moelab.model import Model, ModelConfig, param_count
+from moelab.trainer import load_checkpoint
 
 SUBCOMMANDS = ["tokenizer-train", "train", "generate", "perplexity", "param-count",
                "synth-corpus", "analyze-routing", "correlate"]
@@ -105,7 +106,7 @@ class TestRuntimeFailures:
         assert captured.err == f"error: n_experts must be an integer >= 1, got {value!r}\n"
 
     def test_diverging_train_exits_one(self, workspace, tmp_path, capsys):
-        # a huge peak lr blows the weights up at step 1; step 2 then sees a NaN loss
+        # a huge peak lr blows the weights up at step 0; step 1 then sees a NaN loss
         ckpt = tmp_path / "never.ckpt"
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--config", workspace["config"],
@@ -114,7 +115,7 @@ class TestRuntimeFailures:
                          "--checkpoint-out", str(ckpt), "--log", str(tmp_path / "log.tsv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: step 2: total loss is nan")
+        assert err.startswith("error: step 1: total loss is nan")
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-5", "0"])
@@ -130,12 +131,13 @@ class TestRuntimeFailures:
         assert not ckpt.exists() and not log.exists()
 
     def test_inference_on_overflowing_weights_names_where(self, workspace, tmp_path, capsys):
-        # one step at lr 1e300 leaves finite weights near 1e300, whose logits overflow
+        # one step at lr 5e299 (half the peak) leaves finite weights near 5e299, whose
+        # logits overflow
         ckpt = str(tmp_path / "huge.ckpt")
         with np.errstate(all="ignore"):
             assert main(["train", "--config", workspace["config"],
                          "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
-                         "--steps", "2", "--batch-size", "2", "--seed", "7", "--lr", "1e300",
+                         "--steps", "1", "--batch-size", "2", "--seed", "7", "--lr", "1e300",
                          "--checkpoint-out", ckpt, "--log", str(tmp_path / "log.tsv")]) == 0
             capsys.readouterr()
             assert main(["perplexity", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
@@ -365,6 +367,19 @@ class TestPipeline:
             logs.append(Path(log).read_bytes())
         assert logs[0] == logs[1]
 
+    def test_one_step_moves_the_initial_weights(self, workspace, tmp_path):
+        ckpt = str(tmp_path / "one.ckpt")
+        assert main(["train", "--config", workspace["config"],
+                     "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
+                     "--steps", "1", "--batch-size", "2", "--seed", "7",
+                     "--checkpoint-out", ckpt, "--log", str(tmp_path / "one.tsv")]) == 0
+        trained, _ = load_checkpoint(ckpt)
+        assert trained.config.seed == 7
+        initial = Model(trained.config).named_parameters()
+        moved = [name for name, p in trained.named_parameters().items()
+                 if not np.array_equal(p.data, initial[name].data)]
+        assert "tok_emb" in moved and len(moved) > len(initial) // 2, moved
+
     def test_generate_deterministic(self, workspace, capsys):
         args = ["generate", "--checkpoint", workspace["ckpt"], "--tokenizer",
                 workspace["tok"], "--prompt", "ab", "--max-new-tokens", "8",
@@ -494,10 +509,9 @@ class TestPipeline:
 def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path, capsys):
     """A model with two MoE layers, trained three steps: its checkpoint, the
     checkpoint a resume of it saves again, the four analyze-routing files and
-    the synthetic truth matrix hash as they did when activation counts were a
-    flat layer-major list and a resume repacked the Adam moments. The digests
-    were taken with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another BLAS
-    build may round matrix products differently."""
+    the synthetic truth matrix. The digests were taken with the tanh-form GELU
+    and a warmup whose step 0 trains, with numpy 2.4 and OpenBLAS 0.3.31 on
+    x86-64; another BLAS build may round matrix products differently."""
     from moelab.trainer import LrSchedule, Trainer, save_checkpoint
 
     def sha(path):
@@ -518,14 +532,28 @@ def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path, capsys):
     files = ["vectors.tsv", "heatmap.tsv", "distance.tsv", "doc_counts.tsv"]
     assert {"checkpoint": sha(ckpt), "resaved": sha(resaved), "truth": sha(workspace["truth"]),
             **{name: sha(out_dir / name) for name in files}} == {
-        "checkpoint": "a49883ff697f83678e43274ce39f778695159126e180de4b4471fffd206c696a",
-        "resaved": "a49883ff697f83678e43274ce39f778695159126e180de4b4471fffd206c696a",
+        "checkpoint": "e7ecdd5e24bacb47d2cf7e446294c0bed457c6835d9a0585b0324b0f85b136d8",
+        "resaved": "e7ecdd5e24bacb47d2cf7e446294c0bed457c6835d9a0585b0324b0f85b136d8",
         "truth": "84f4cac944b6ed4995f48f6acb379dd9edca3b2556784282b3cdd83e9f6a70b6",
-        "vectors.tsv": "40db734a8647bf0452e9ae4256fb3c0745ac8920059a964668d62283352802ec",
-        "heatmap.tsv": "ef6a05a752381fb6ca59ffa49e32411c020d4a50abd68b64e88df5bd4dd0ac76",
-        "distance.tsv": "681588e137df59daae9a99b4cdd1afc9226be3c70351eb10061460594e14ff66",
+        "vectors.tsv": "47e421e14e4bec09a78ef50a550bf688b194e9721bd477a2e40cbef47cefcb15",
+        "heatmap.tsv": "48f2d1ad0ea5259668f49f8d6b36735802d1837b7bc1b24682877f668776fa90",
+        "distance.tsv": "665880cd3a03a7ed79fef691affa50be5ad8cd20a3a86774799baf0d0426e70c",
         "doc_counts.tsv": "d6f0927e7046a498097435657c12ffe5b71095cc2fd04506c8552dbff6f03824",
     }
+
+
+def test_cli_import_loads_numpy_random_and_no_scipy():
+    """scipy is only a test dependency, and numpy.random loads when moelab is
+    imported rather than inside the first Model() that set-up timings cover."""
+    src = os.path.dirname(os.path.dirname(moelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, moelab.cli; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True]
 
 
 def test_synth_corpus_files_parse(workspace):

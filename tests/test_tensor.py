@@ -104,6 +104,11 @@ class TestSoftmax:
             softmax(Tensor(np.zeros(0)))
 
 
+def gelu_formula(x):
+    """The tanh-form GELU as one plain expression."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+
+
 class TestGelu:
     def test_zero(self):
         assert gelu(Tensor(0.0)).item() == 0.0
@@ -111,9 +116,30 @@ class TestGelu:
     def test_asymptote(self):
         assert abs(gelu(Tensor(10.0)).item() - 10.0) < 1e-6
 
-    def test_gaussian_cdf_oracle(self):
-        # Phi(1) from scipy.stats.norm.cdf(1.0)
-        assert abs(gelu(Tensor(1.0)).item() - 0.8413447460685429) < 1e-12
+    def test_tanh_form_oracle(self):
+        # 0.8411919906082768 by the formula; exact GELU's Phi(1) is 0.8413447460685429
+        assert abs(gelu(Tensor(1.0)).item() - gelu_formula(1.0)) < 1e-15
+
+    @pytest.mark.parametrize("x", [np.linspace(-8.0, 8.0, 4001), np.array(-1.7), np.array(2.3)],
+                             ids=["grid", "0-d negative", "0-d positive"])
+    def test_in_place_form_matches_the_plain_formula(self, x):
+        # not bitwise: the in-place form folds the constants in another order
+        got = gelu(Tensor(x)).data
+        assert got.shape == x.shape
+        assert np.abs(got - gelu_formula(x)).max() <= 1e-15
+
+    def test_within_5e_4_of_exact_gelu(self):
+        from scipy.stats import norm
+        x = np.linspace(-6.0, 6.0, 4001)
+        diff = np.abs(gelu(Tensor(x)).data - x * norm.cdf(x)).max()
+        assert 1e-4 < diff < 5e-4  # the approximation is real, and small
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_finite_differences_out_to_4(self, seed):
+        rng = np.random.default_rng(seed + 60)
+        x = Tensor(rng.uniform(-4.0, 4.0, size=(3, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 5)))
+        assert grad_check(lambda: (gelu(x) * w).sum(), [x], samples=15, seed=seed) < 1e-6
 
 
 class TestLayerNorm:
@@ -309,10 +335,10 @@ class TestBackwardUsesGraph:
 
     def test_pinned_train_step_digests(self):
         """Logits, losses, balance values, routing, every gradient and a greedy
-        continuation of one desk-shape step hash as they did when backward kept
-        the whole graph and cross-entropy held three logits-sized arrays. The
-        digests were taken with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another
-        BLAS build may round matrix products differently."""
+        continuation of one desk-shape step. The logits, loss, balance and
+        gradient digests were re-taken when GELU became the tanh form (routing
+        and the greedy ids kept theirs), with numpy 2.4 and OpenBLAS 0.3.31 on
+        x86-64; another BLAS build may round matrix products differently."""
         def sha(*arrays):
             h = hashlib.sha256()
             for a in arrays:
@@ -337,11 +363,11 @@ class TestBackwardUsesGraph:
             "grads": grads.hexdigest(),
             "greedy": sha(np.array(greedy)),
         } == {
-            "logits": "a7a66626e1b027e5368a8f5ce9a68c8f3805c157b4c5fc5f08f57dcdec0b17b4",
-            "loss": "d51d44429787bf31946a6a5a432539cca2ad47b0fbffa654a0745d21e4692fad",
-            "balance": "8aea14cc9867a29ba61a635aa89169c8478f85a76e59eda670949c96847fc00d",
+            "logits": "1f41c1ee2eeb8d194e332b6f2431f155e4c82b54e2ab2649cfcd94c1ea6d729b",
+            "loss": "91aab80e0610b3e29ff16582508f4ad0b5686e9c00606f93888856b8017d1526",
+            "balance": "2d1a67927a95246228a703b057900f385458c71b67e70e7bf6389264bda873e6",
             "selected": "c89e480e447ea9c36f79f627f9e49a54a98baf021730092acf7a46ca5848bb18",
-            "grads": "b7894c80bdfffa49b9ab188c9a862d2a2993cd341eedfe762e81fcb1aeaa246e",
+            "grads": "1f7862570c8a4f8658333cc8c160b5c839fe8a84344b5ee09024845b89035ac8",
             "greedy": "23f10c6fbbeb56a793f2418f1e88011dc8bf2ec51c52610ee391824ae61e5146",
         }
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from moelab import trainer as trainer_mod
+from moelab import model as model_mod, trainer as trainer_mod
 from moelab.checkpoint import read_checkpoint, write_checkpoint
 from moelab.corpus import Document
 from moelab.errors import ConfigError, FormatError, ShapeError
@@ -136,8 +136,9 @@ class TestTotalLoss:
 class TestLrSchedule:
     SCHED = LrSchedule(peak=2e-3, warmup_steps=10, decay_steps=40)  # floor 2e-3 * FLOOR_FRAC
 
-    def test_warmup_starts_at_zero(self):
-        assert lr_at_step(0, self.SCHED) == 0.0
+    def test_warmup_step_zero_trains(self):
+        assert lr_at_step(0, self.SCHED) > 0.0
+        assert lr_at_step(0, self.SCHED) == pytest.approx(2e-3 / 11)
 
     def test_peak_reached_exactly_at_warmup_end(self):
         assert lr_at_step(10, self.SCHED) == 2e-3
@@ -361,7 +362,7 @@ class TestCheckpoint:
             def __getattr__(self, name):
                 raise AssertionError(f"random draw {name!r} during checkpoint load")
 
-        monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: NoDraws())
+        monkeypatch.setattr(model_mod, "default_rng", lambda *args, **kwargs: NoDraws())
         loaded, _ = load_checkpoint(path)
         for name, p in model.named_parameters().items():
             assert np.array_equal(p.data, loaded.named_parameters()[name].data), name
@@ -500,10 +501,10 @@ class TestCheckpoint:
 
     def test_version_mismatch_rejected(self, tmp_path):
         model = Model(tiny_config())
-        path = tmp_path / "v2.ckpt"
+        path = tmp_path / "v3.ckpt"
         save_checkpoint(model, str(path))
         blob = bytearray(path.read_bytes())
-        blob[7] = ord("2")
+        blob[7] = ord("3")
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(str(path))
