@@ -102,7 +102,16 @@ def _check_vocab(vocab_size: int, source: str, tok: Tokenizer) -> None:
                          f"{tok.vocab_size}; they must be equal")
 
 
+def _check_output_dirs(*outputs: tuple[str, str]) -> None:
+    """Refuse a (flag, path) output whose directory is missing, before any work."""
+    for flag, path in outputs:
+        directory = os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            raise ValueError(f"{flag} {path}: directory {directory} does not exist")
+
+
 def cmd_tokenizer_train(args) -> int:
+    _check_output_dirs(("--output", args.output))
     docs, _ = corpus_mod.load_jsonl(args.input)
     tok = Tokenizer.train((d.text for d in docs), args.vocab_size)
     tok.save(args.output)
@@ -113,10 +122,7 @@ def cmd_tokenizer_train(args) -> int:
 def cmd_train(args) -> int:
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise ValueError(f"--lr must be a finite number > 0, got {args.lr}")
-    for flag, path in (("--log", args.log), ("--checkpoint-out", args.checkpoint_out)):
-        directory = os.path.dirname(path)  # both files are written after the last step
-        if directory and not os.path.isdir(directory):
-            raise ValueError(f"{flag} {path}: directory {directory} does not exist")
+    _check_output_dirs(("--log", args.log), ("--checkpoint-out", args.checkpoint_out))
     config = model_mod.ModelConfig.load(args.config)
     config.seed = args.seed
     docs, _ = corpus_mod.load_jsonl(args.corpus)
@@ -195,6 +201,7 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_synth_corpus(args) -> int:
+    _check_output_dirs(("--out", args.out), ("--truth", args.truth))
     docs, truth = corpus_mod.synth_corpus(args.families, args.langs_per_family,
                                           args.docs_per_lang, args.doc_len, args.seed)
     corpus_mod.write_jsonl(docs, args.out)

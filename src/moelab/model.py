@@ -374,7 +374,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     scale = 1.0 / np.sqrt(head)
     scores = qh @ kh.transpose(0, 1, 3, 2)
     scores *= scale
-    scores += np.triu(np.full((t, rows), MASKED_SCORE), k=rows - t + 1)
+    if t > 1:  # one query (a cached decode step) sees every key: nothing to mask
+        scores += np.triu(np.full((t, rows), MASKED_SCORE), k=rows - t + 1)
     p = softmax(Tensor(scores)).data
 
     def bwd(g: np.ndarray) -> None:

@@ -337,9 +337,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-likelihood of integer `targets` under row-softmax of (..., V) `logits`.
 
-    Targets have the logits' leading shape. Backward is the fused
-    (softmax - one_hot) / rows form, written into the probability buffer, so
-    the op holds one logits-sized array beyond its input.
+    Targets have the logits' leading shape. The forward needs only each
+    row's normalizer, so it keeps the exponentials unnormalized; backward
+    divides them into probabilities and forms the fused
+    (softmax - one_hot) / rows gradient in that same buffer, so the op holds
+    one logits-sized array beyond its input.
     """
     targets = np.asarray(targets)
     shape = logits.data.shape
@@ -361,12 +363,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     picked = p[np.arange(n), targets]
     np.exp(p, out=p)
     norm = p.sum(axis=1, keepdims=True)
-    p /= norm
     nll = np.log(norm[:, 0]) - picked
     loss = nll.mean()
 
     def bwd(g: np.ndarray) -> None:  # runs once, so p can become the gradient
         scale = float(g) / n
+        np.divide(p, norm, out=p)
         np.multiply(p, scale, out=p)
         p[np.arange(n), targets] -= scale
         logits._accum(p.reshape(shape))

@@ -3,7 +3,12 @@
 The base vocabulary is all 256 single bytes, so any UTF-8 string encodes and
 decodes losslessly regardless of training data. Merge rules are learned
 greedily by pair frequency, ties broken by the lexicographically smallest
-(left_id, right_id) pair so training is deterministic.
+(left_id, right_id) pair so training is deterministic. Training counts the
+pairs once. After that a merge updates only the counts of the pairs that
+touch an occurrence it replaces, since a pair away from every occurrence is
+the same before and after the replace. Apart from the replace and split,
+which scan the text in C, a merge costs time in proportion to its
+occurrences, not to the corpus or the pair table (see `Tokenizer.train`).
 
 Here a token sequence is a `str` of one character per id: bytes become
 characters by a latin-1 decode, and merged id n is `chr(n)`. Merging (a, b)
@@ -19,8 +24,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FormatError
 from .fileio import atomic_write_text
@@ -30,10 +36,6 @@ BOS_ID = 257
 EOS_ID = 258
 _SPECIALS = {"pad": PAD_ID, "bos": BOS_ID, "eos": EOS_ID}
 _FIRST_MERGE_ID = 256 + len(_SPECIALS)
-
-
-def _pairs(s: str) -> Iterator[str]:  # adjacent pairs as two-character strings
-    return map(add, s, s[1:])
 
 
 class Tokenizer:
@@ -67,29 +69,59 @@ class Tokenizer:
 
         Deterministic for a given corpus order: byte-level BPE training has no
         random choices. Stops early if no adjacent pair remains to merge.
+
+        The documents are joined, and wrapped, by the pad character, and no
+        pair that holds it is counted, so every occurrence of a pair has a
+        character on each side. Merging (a, b) into n turns each occurrence
+        x a b y into x n y: it loses (x, a), (a, b) and (b, y) and gains
+        (x, n) and (n, y), and two occurrences side by side trade their (b, a)
+        for one (n, n). Every other pair lies away from an occurrence and is
+        the same before and after the replace, so these deltas are the whole
+        change. The next pair comes off a heap of (-count, pair) entries: an
+        entry is pushed whenever a count changes and dropped when it reaches
+        the top with a count that has moved since.
         """
         if vocab_size < _FIRST_MERGE_ID:
             raise ValueError(f"vocab_size must be at least {_FIRST_MERGE_ID}, got {vocab_size}")
-        seqs = [text.encode("utf-8").decode("latin-1") for text in corpus if text]
-        if not seqs:
+        docs = [text.encode("utf-8").decode("latin-1") for text in corpus if text]
+        if not docs:
             raise ValueError("cannot train a tokenizer on an empty corpus")
-        pair_counts = Counter(p for s in seqs for p in _pairs(s))
+        pad = chr(PAD_ID)
+        text = pad.join(["", *docs, ""])
+        counts = Counter(map(add, text, text[1:]))
+        for pair in [p for p in counts if pad in p]:
+            del counts[pair]
+        heap = [(-c, p) for p, c in counts.items()]
+        heapify(heap)
 
         tok = cls()
         for new_id in range(_FIRST_MERGE_ID, vocab_size):
-            top = max(pair_counts.values(), default=0)
-            if top == 0:  # merged pairs stay behind as zero counts
+            while heap and counts[heap[0][1]] != -heap[0][0]:
+                heappop(heap)
+            if not heap:
                 break
-            best = min(p for p, c in pair_counts.items() if c == top)
-            tok._add_merge(*map(ord, best))
-            before, after = Counter(), Counter()  # pairs of the documents it changes
-            for i, s in enumerate(seqs):
-                if best in s:
-                    before.update(_pairs(s))
-                    seqs[i] = s = s.replace(best, chr(new_id))
-                    after.update(_pairs(s))
-            pair_counts.update(after)
-            pair_counts.subtract(before)
+            best = heappop(heap)[1]
+            a, b = best
+            tok._add_merge(ord(a), ord(b))
+            new = chr(new_id)
+            text = text.replace(best, new)
+            parts = text.split(new)  # parts[i] lies between occurrences i and i + 1
+            # an empty part sits between two adjacent occurrences: the later one's
+            # left neighbour is n, and the earlier one has no pair of its own to its right
+            lefts = Counter(p[-1:] or new for p in parts[:-1])
+            rights = Counter(p[0] for p in parts[1:] if p)
+            delta = Counter({best: 1 - len(parts)})
+            for x, c in lefts.items():
+                delta[x + new] += c
+                delta[(b if x == new else x) + a] -= c
+            for y, c in rights.items():
+                delta[new + y] += c
+                delta[b + y] -= c
+            for pair, d in delta.items():
+                if d and pad not in pair:
+                    counts[pair] += d
+                    if counts[pair]:
+                        heappush(heap, (-counts[pair], pair))
         return tok
 
     # -- encode / decode -------------------------------------------------------

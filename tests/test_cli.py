@@ -202,6 +202,35 @@ class TestRuntimeFailures:
                                 "does not exist\n")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("sub, flag", [("tokenizer-train", "--output"),
+                                           ("synth-corpus", "--out"), ("synth-corpus", "--truth")])
+    def test_an_output_in_a_missing_directory_is_refused_before_any_work(
+            self, workspace, tmp_path, capsys, monkeypatch, sub, flag):
+        from moelab import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        monkeypatch.setattr(cli.corpus_mod, "load_jsonl", no_work)
+        monkeypatch.setattr(cli.corpus_mod, "synth_corpus", no_work)
+        monkeypatch.setattr(cli.Tokenizer, "train", no_work)
+        args, outputs = {
+            "tokenizer-train": (["--input", workspace["corpus"], "--vocab-size", "300"],
+                                {"--output": str(tmp_path / "tok.json")}),
+            "synth-corpus": (["--families", "2", "--langs-per-family", "2", "--docs-per-lang",
+                              "2", "--doc-len", "10", "--seed", "1"],
+                             {"--out": str(tmp_path / "c.jsonl"),
+                              "--truth": str(tmp_path / "t.tsv")}),
+        }[sub]
+        missing = tmp_path / "typo"
+        outputs[flag] = str(missing / "out")
+        assert main([sub, *args, *(x for item in outputs.items() for x in item)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {flag} {missing / 'out'}: directory {missing} "
+                                "does not exist\n")
+        assert not any(tmp_path.iterdir())
+
     def test_analyze_routing_of_one_language_writes_nothing(self, workspace, tmp_path,
                                                             capsys):
         from moelab.corpus import load_jsonl, write_jsonl

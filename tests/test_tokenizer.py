@@ -274,6 +274,10 @@ REFERENCE_CASES = {
     "ties in pair count": (["cd ab", "dc ba"], 264),
     "pairs run out": (["ab", "b"], 400),
     "one-byte documents": (["a", "b", "c"], 300),
+    "pairs only across a document boundary": (["xa", "ay"], 300),
+    "a repeated pair across the boundary": (["ab", "ab"], 300),
+    "long alternating run": (["ab" * 20, "b" + "ab" * 7], 300),
+    "long run of one byte": (["a" * 33, "b" + "a" * 32 + "b"], 300),
 }
 
 
@@ -290,16 +294,24 @@ def test_random_corpora_match_the_reference():
     rnd = random.Random(7)
     alphabet = "ab c" + "äß" + "語" + "😀"
     for _ in range(20):
-        corpus = ["".join(rnd.choices(alphabet, k=rnd.randrange(0, 30)))
+        corpus = ["".join(rnd.choices(alphabet, k=rnd.randrange(0, 81)))
                   for _ in range(rnd.randrange(1, 6))]
         if not any(corpus):
             continue
-        vocab_size = FIRST_MERGE_ID + rnd.randrange(0, 40)
+        vocab_size = FIRST_MERGE_ID + rnd.randrange(0, 81)
         tok = Tokenizer.train(corpus, vocab_size)
         assert tok.merges == reference_train(corpus, vocab_size)
         for _ in range(10):
             text = "".join(rnd.choices(alphabet + "xyz", k=rnd.randrange(0, 40)))
             assert tok.encode(text) == reference_encode(tok.merges, text)
+
+
+def test_synthetic_corpus_matches_the_reference_over_many_merges():
+    docs, _ = synth_corpus(2, 3, 4, 300, 5)
+    corpus = [d.text for d in docs]
+    tok = Tokenizer.train(corpus, FIRST_MERGE_ID + 150)
+    assert len(tok.merges) == 150
+    assert tok.merges == reference_train(corpus, FIRST_MERGE_ID + 150)
 
 
 def test_pinned_merges_and_ids_on_the_benchmark_corpus(tmp_path):
