@@ -98,6 +98,8 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
     Runs routing passes only: no parameter is touched. Deterministic for a
     given seed; each language draws from its own substream. A
     sequences_per_lang below 1 raises ValueError before any encode or forward.
+    A pass whose balance loss is not finite raises FloatingPointError naming
+    the language and the MoE layer, counting from 0 in model order.
     """
     from .corpus import pack_sequences
 
@@ -120,6 +122,11 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
         for start in range(0, len(seqs), CHUNK):
             with no_grad():
                 out = model.forward(seqs[start:start + CHUNK], logits=False)
+            for layer, stats in enumerate(out.moe_stats):  # NaN gate probabilities argmax to 0
+                if not math.isfinite(stats.balance_loss):
+                    raise FloatingPointError(
+                        f"language {lang!r}: MoE layer {layer} routes from non-finite gate "
+                        f"probabilities (balance loss {stats.balance_loss})")
             counts += np.stack(
                 [np.bincount(s.selected, minlength=n_experts) for s in out.moe_stats])
         vectors.append(ActivationVector(lang, counts))

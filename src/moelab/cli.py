@@ -102,6 +102,13 @@ def _check_vocab(vocab_size: int, source: str, tok: Tokenizer) -> None:
                          f"{tok.vocab_size}; they must be equal")
 
 
+def _check_tokenizer_fits(net: model_mod.Model, tok: Tokenizer, args) -> None:
+    """Refuse a tokenizer with ids that the checkpoint's embedding has no row for."""
+    if tok.vocab_size > net.config.vocab_size:
+        raise ValueError(f"tokenizer {args.tokenizer} has vocab_size {tok.vocab_size} but "
+                         f"checkpoint {args.checkpoint} embeds only {net.config.vocab_size} ids")
+
+
 def _check_output_dirs(*outputs: tuple[str, str]) -> None:
     """Refuse a (flag, path) output whose directory is missing, before any work."""
     for flag, path in outputs:
@@ -156,6 +163,7 @@ def cmd_perplexity(args) -> int:
     lang = None if args.lang is None else corpus_mod.normalize_lang(args.lang, "--lang")
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
+    _check_tokenizer_fits(net, tok, args)
     docs, counts = corpus_mod.load_jsonl(args.corpus)
     if lang is not None and lang not in counts:
         raise ValueError(f"no documents for language {lang!r}")
@@ -213,6 +221,7 @@ def cmd_synth_corpus(args) -> int:
 def cmd_analyze_routing(args) -> int:
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
+    _check_tokenizer_fits(net, tok, args)
     docs, counts = corpus_mod.load_jsonl(args.corpus)
     vectors = analysis.collect_activations(net, tok, docs, args.sequences_per_lang,
                                            net.config.max_seq_len, args.seed)

@@ -51,29 +51,50 @@ def normalize_lang(raw, where: str) -> str:
 def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
     """`{"lang": ..., "text": ...}` lines as documents in file order, and counts per language.
 
-    Blank lines are skipped; a file with no document raises FormatError.
+    Blank lines are skipped; a file with no document raises FormatError, and
+    so does a line that is not valid UTF-8 or whose text holds a lone
+    surrogate (a `\\ud800` escape), naming the file and line.
     """
     docs: list[Document] = []
     counts: Counter[str] = Counter()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}: line {lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"{where}: invalid JSON: {exc.msg}") from exc
+                if not isinstance(obj, dict):
+                    raise FormatError(f"{where}: expected a JSON object")
+                missing = {"lang", "text"} - set(obj)
+                if missing:
+                    raise FormatError(f"{where}: missing field(s) {sorted(missing)}")
+                text = obj["text"]
+                if not isinstance(text, str):
+                    raise FormatError(f"{where}: 'text' must be a string")
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise FormatError(f"{where}: 'text' holds the lone surrogate "
+                                      f"{text[exc.start]!r} at position {exc.start}, "
+                                      f"which is not valid Unicode") from None
+                lang = normalize_lang(obj["lang"], where)
+                docs.append(Document(lang, text))
+                counts[lang] += 1
+    except UnicodeDecodeError:  # text mode cannot say where; find the line in the bytes
+        with open(path, "rb") as fh:
+            raw_lines = fh.read().splitlines()  # \n, \r\n and \r, as text mode splits
+        for lineno, raw in enumerate(raw_lines, start=1):
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise FormatError(f"{where}: expected a JSON object")
-            missing = {"lang", "text"} - set(obj)
-            if missing:
-                raise FormatError(f"{where}: missing field(s) {sorted(missing)}")
-            if not isinstance(obj["text"], str):
-                raise FormatError(f"{where}: 'text' must be a string")
-            lang = normalize_lang(obj["lang"], where)
-            docs.append(Document(lang, obj["text"]))
-            counts[lang] += 1
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: line {lineno}: invalid UTF-8 byte "
+                                  f"{raw[exc.start]:#04x} at offset {exc.start} "
+                                  f"({exc.reason})") from None
+        raise
     if not docs:
         raise FormatError(f"{path}: no documents")
     return docs, dict(counts)

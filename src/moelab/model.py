@@ -18,7 +18,7 @@ from numpy.random import default_rng
 
 from .errors import ConfigError, FormatError, ShapeError
 from .moe import FeedForward, MoeLayer, RoutingStats, ffn_forward, moe_forward
-from .tensor import Tensor, embedding, grad_enabled, layer_norm, linear, no_grad, softmax
+from .tensor import Tensor, check_ids, embedding, grad_enabled, layer_norm, linear, no_grad, softmax
 
 INIT_STD = 0.02
 FFN_MULTIPLIER = 4  # feed-forward hidden width, in units of d_model
@@ -284,19 +284,9 @@ class Model:
             raise ValueError(f"tokens must be a sequence or batch of sequences, got shape {ids.shape}")
         if ids.size == 0:
             raise ValueError("empty token sequence")
-        if ids.dtype.kind not in "iu":
-            raise ValueError(f"token ids must be integers, got {ids.dtype}: "
-                             f"position 0 holds {ids.flat[0]!r}")
         cfg = self.config
-        bad = (ids < 0) | (ids >= cfg.vocab_size)
-        if bad.any():
-            pos = tuple(int(i) for i in np.argwhere(bad)[0])
-            raise ValueError(f"token id {ids[pos]} at position {pos[0] if ids.ndim == 1 else pos} "
-                             f"outside [0, {cfg.vocab_size})")
         squeeze = ids.ndim == 1
-        if squeeze:
-            ids = ids[None, :]
-        b, t = ids.shape
+        b, t = (1, *ids.shape) if squeeze else ids.shape
         d = cfg.d_model
         s = 0
         if cache is not None:
@@ -314,7 +304,10 @@ class Model:
             held = f"cache length {s} + " if cache is not None else ""
             raise ValueError(f"{held}sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
 
-        x = embedding(self.tok_emb, ids) + embedding(self.pos_emb, np.arange(s, s + t))
+        x = embedding(self.tok_emb, ids)  # checks every id, named by its position in `tokens`
+        if squeeze:
+            x = x.reshape(1, t, d)
+        x = x + embedding(self.pos_emb, np.arange(s, s + t))
         stats: list[RoutingStats] = []
         for i, layer in enumerate(self.layers):
             h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
@@ -405,15 +398,13 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
     ValueError naming it before that token is drawn.
     """
     ids = list(prompt_ids)
-    vocab = model.config.vocab_size
     for i, x in enumerate(ids):
         if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
             raise ValueError(f"prompt id at position {i} is not an integer: {x!r}")
-        if not 0 <= x < vocab:
-            raise ValueError(f"prompt id {x} at position {i} outside [0, {vocab})")
     if not ids:
         raise ValueError("empty prompt")
-    ids = [int(x) for x in ids]
+    step = check_ids([int(x) for x in ids], model.config.vocab_size, "prompt id")
+    ids = step.tolist()
     if max_new_tokens < 0:
         raise ValueError(f"max_new_tokens must be non-negative, got {max_new_tokens}")
     if len(ids) + max_new_tokens > model.config.max_seq_len:
@@ -424,7 +415,6 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
         raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
     rng = default_rng(seed)
     cache = KVCache(model.config, batch=1)
-    step = np.asarray(ids)
     with no_grad():
         for _ in range(max_new_tokens):
             last = model.forward(step, cache).logits.data[-1]

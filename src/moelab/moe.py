@@ -70,7 +70,8 @@ class RoutingStats:
 
     @property
     def balance_loss(self) -> float:
-        """balance as a float, read by the benchmark's trace (perfbench/moebench/layers.py)."""
+        """balance as a float, read by collect_activations' finiteness check and the
+        benchmark's trace (perfbench/moebench/layers.py)."""
         return self.balance.item()
 
 

@@ -349,15 +349,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise ShapeError(f"targets shape {targets.shape} does not align with logits {shape}")
     if targets.size == 0:
         raise ValueError("cross_entropy needs at least one target")
-    if targets.dtype.kind not in "iu":
-        raise ValueError(f"targets must be integers, got {targets.dtype}: "
-                         f"position 0 holds {targets.flat[0]!r}")
     v = shape[-1]
-    targets = targets.reshape(-1)
+    targets = check_ids(targets, v, "target").reshape(-1)
     n = targets.size
-    bad = np.nonzero((targets < 0) | (targets >= v))[0]
-    if bad.size:
-        raise ValueError(f"target id {targets[bad[0]]} at position {bad[0]} outside [0, {v})")
     z = logits.data.reshape(n, v)
     p = z - z.max(axis=1, keepdims=True)
     picked = p[np.arange(n), targets]
@@ -376,13 +370,28 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     return Tensor._op(np.asarray(loss), (logits,), bwd)
 
 
+def check_ids(ids, bound: int, noun: str) -> np.ndarray:
+    """`ids` as an integer array whose every entry lies in [0, bound).
+
+    ValueError otherwise, in the words of `noun`: a non-integer dtype names
+    what position 0 holds; an id out of range names the first one by its
+    position, an index for a sequence and an index tuple for a batch.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{noun}s must be integers, got {ids.dtype}: "
+                         f"position 0 holds {ids.flat[0]!r}")
+    bad = (ids < 0) | (ids >= bound)
+    if bad.any():
+        pos = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"{noun} {ids[pos]} at position {pos[0] if ids.ndim == 1 else pos} "
+                         f"outside [0, {bound})")
+    return ids
+
+
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup weight[ids], with every id checked against the table size."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= weight.data.shape[0]):
-        raise ValueError(
-            f"embedding id outside [0, {weight.data.shape[0]}): min={ids.min()}, max={ids.max()}")
-    return weight[ids]
+    return weight[check_ids(ids, weight.data.shape[0], "token id")]
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:

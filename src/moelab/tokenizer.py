@@ -136,9 +136,9 @@ class Tokenizer:
     def decode(self, ids: Sequence[int]) -> str:
         """Concatenate token bytes and decode UTF-8; invalid sequences become U+FFFD."""
         chunks = []
-        for i in ids:
+        for pos, i in enumerate(ids):
             if not 0 <= i < len(self.vocab):
-                raise ValueError(f"token id {i} outside [0, {len(self.vocab)})")
+                raise ValueError(f"token id {i} at position {pos} outside [0, {len(self.vocab)})")
             chunks.append(self.vocab[i])
         return b"".join(chunks).decode("utf-8", errors="replace")
 

@@ -245,6 +245,46 @@ class TestRuntimeFailures:
         assert capsys.readouterr().err == "error: need at least 2 languages, got 1\n"
         assert not out_dir.exists()
 
+    def test_analyze_routing_refuses_non_finite_routing_and_writes_nothing(
+            self, workspace, tmp_path, capsys):
+        from moelab.checkpoint import read_checkpoint, write_checkpoint
+        header, tensors = read_checkpoint(workspace["ckpt"])
+        tensors["layers.0.attn.wq"][0, 0] = np.nan  # every gate probability becomes NaN
+        ckpt = str(tmp_path / "nan.ckpt")
+        write_checkpoint(ckpt, header, tensors)
+        out_dir = tmp_path / "routing"
+        assert main(["analyze-routing", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
+                     "--corpus", workspace["corpus"], "--sequences-per-lang", "1",
+                     "--seed", "2", "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: language 'aa': MoE layer 0 routes from non-finite "
+                                "gate probabilities (balance loss nan)\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("sub", ["perplexity", "analyze-routing"])
+    def test_a_tokenizer_wider_than_the_checkpoint_is_refused_before_any_forward(
+            self, workspace, tmp_path, capsys, monkeypatch, sub):
+        from moelab.model import Model, ModelConfig
+        from moelab.trainer import save_checkpoint
+        narrow, wide = str(tmp_path / "narrow.ckpt"), str(tmp_path / "wide.ckpt")
+        save_checkpoint(Model(ModelConfig.load(small_config(tmp_path, vocab_size=270))), narrow)
+        save_checkpoint(Model(ModelConfig.load(small_config(tmp_path, vocab_size=512))), wide)
+        out_dir = tmp_path / "routing"
+        extra = {"perplexity": ["--lang", "aa"],
+                 "analyze-routing": ["--sequences-per-lang", "1", "--seed", "2",
+                                     "--out-dir", str(out_dir)]}[sub]
+        assert main([sub, "--checkpoint", wide, "--tokenizer", workspace["tok"],
+                     "--corpus", workspace["corpus"], *extra]) == 0  # spare rows are fine
+        capsys.readouterr()
+        monkeypatch.setattr(Model, "forward", None)  # any forward would raise TypeError
+        assert main([sub, "--checkpoint", narrow, "--tokenizer", workspace["tok"],
+                     "--corpus", workspace["corpus"], *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: tokenizer {workspace['tok']} has vocab_size 300 but "
+                                f"checkpoint {narrow} embeds only 270 ids\n")
+
     def test_perplexity_of_an_empty_corpus_prints_nothing(self, workspace, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -629,7 +669,6 @@ def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
     exempt = {
         "tensor": ("grad_check", "__repr__"),  # the tests' reference
         "model": ("desk_config",),  # perfbench builds its shapes with it
-        "moe": ("balance_loss",),  # perfbench reports it per op
         "trainer": ("resume",),  # bitwise-resume contract; no CLI path resumes yet
     }
     entered = set()

@@ -55,6 +55,23 @@ class TestLoadJsonl:
         with pytest.raises(FormatError, match="e1"):
             load_jsonl(str(path))
 
+    def test_a_lone_surrogate_escape_names_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"lang": "en", "text": "ok"}\n{"lang": "en", "text": "a\\ud800b"}\n')
+        with pytest.raises(FormatError) as exc:
+            load_jsonl(str(path))
+        assert str(exc.value) == (f"{path}: line 2: 'text' holds the lone surrogate '\\ud800' "
+                                  "at position 1, which is not valid Unicode")
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"lang": "en", "text": "ok"}\r\n\n'
+                         b'{"lang": "en", "text": "caf\xc3\xa9 \xff"}\n')
+        with pytest.raises(FormatError) as exc:
+            load_jsonl(str(path))
+        assert str(exc.value) == (f"{path}: line 3: invalid UTF-8 byte 0xff at offset 30 "
+                                  "(invalid start byte)")
+
     def test_write_read_roundtrip(self, tmp_path):
         docs = [Document("en", "hello there"), Document("el", "γειά σου")]
         path = tmp_path / "c.jsonl"

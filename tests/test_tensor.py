@@ -14,6 +14,7 @@ from moelab.model import Model, attention, desk_config, generate
 from moelab.optim import CLIP_NORM, AdamState, adam_step, clip_global_norm
 from moelab.tensor import (LN_EPS, Tensor, concat, cross_entropy, embedding, gelu, grad_check,
                            layer_norm, linear, no_grad, softmax)
+from moelab.tokenizer import Tokenizer
 from moelab.trainer import total_loss
 
 
@@ -234,6 +235,23 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError, match=re.escape(
                 f"targets shape {targets} does not align with logits {logits}")):
             cross_entropy(Tensor(np.zeros(logits)), np.zeros(targets, dtype=int))
+
+
+@pytest.mark.parametrize("lookup, ids, message", [
+    (lambda ids: embedding(Tensor(np.zeros((5, 2))), ids), [0, 7, 9],
+     "token id 7 at position 1 outside [0, 5)"),
+    (lambda ids: embedding(Tensor(np.zeros((5, 2))), ids), [[0, 1], [4, -1]],
+     "token id -1 at position (1, 1) outside [0, 5)"),
+    (lambda ids: cross_entropy(Tensor(np.zeros((3, 4))), ids), [0, 9, 1],
+     "target 9 at position 1 outside [0, 4)"),
+    (lambda ids: cross_entropy(Tensor(np.zeros((2, 3, 4))), ids), [[0, 1, 2], [3, 4, 0]],
+     "target 4 at position (1, 1) outside [0, 4)"),
+    (lambda ids: Tokenizer().decode(ids), [104, 105, 0, 1, 259, 300],
+     "token id 259 at position 4 outside [0, 259)"),
+], ids=["embedding", "embedding_batch", "cross_entropy", "cross_entropy_batch", "decode"])
+def test_an_id_outside_its_table_is_named_by_noun_position_and_bound(lookup, ids, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lookup(ids)
 
 
 class TestBackward:
