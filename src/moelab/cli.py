@@ -181,8 +181,7 @@ def cmd_perplexity(args) -> int:
             ids = ids[:max_len + 1]
         arr = np.asarray(ids)
         with no_grad():
-            out = net.forward(arr[:-1])
-        breakdown = trainer_mod.total_loss(out, arr[1:], alpha=0.0)
+            breakdown = trainer_mod.total_loss(net.forward(arr[:-1]), arr[1:], alpha=0.0)
         if not math.isfinite(breakdown.lm_loss):
             raise FloatingPointError(
                 f"{args.corpus}: document {index} (counting from 0, language {doc.lang!r}) "

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
 
 from .errors import ConfigError, FormatError, ShapeError
 from .moe import FeedForward, MoeLayer, RoutingStats, ffn_forward, moe_forward
-from .tensor import Tensor, check_ids, embedding, grad_enabled, layer_norm, linear, no_grad, softmax
+from .tensor import (Tensor, check_ids, embedding, grad_enabled, layer_norm, linear, no_grad,
+                     set_grad_enabled, softmax)
 
 INIT_STD = 0.02
 FFN_MULTIPLIER = 4  # feed-forward hidden width, in units of d_model
@@ -148,14 +150,26 @@ class DecoderLayer:
 
 @dataclass
 class ForwardOutput:
-    """Logits plus one routing record per MoE layer, in layer order.
+    """The final hidden states, the tied head, and one routing record per MoE layer, in layer order.
 
-    logits is None after a routing pass, forward(tokens, logits=False). Each
-    record carries its layer's balance-loss node, which total_loss sums.
+    hidden is the final layer norm's output, (T, d) for a sequence or
+    (B, T, d) for a batch, and None after a routing pass, forward(tokens,
+    logits=False). head is the tied (vocab_size, d) embedding. logits,
+    hidden @ head^T (None when hidden is), are built on first read, recorded
+    for backward exactly when hidden was, and kept; total_loss never reads
+    them. total_loss also sums the records' balance-loss nodes.
     """
 
-    logits: Tensor | None
+    hidden: Tensor | None
+    head: Tensor
     moe_stats: list[RoutingStats]
+
+    @cached_property
+    def logits(self) -> Tensor | None:
+        if self.hidden is None:
+            return None
+        with set_grad_enabled(self.hidden.requires_grad):
+            return linear(self.hidden, self.head.transpose())
 
 
 class KVCache:
@@ -265,7 +279,8 @@ class Model:
         holds s positions they are positions s..s+T-1: each attention layer
         writes their keys and values into cache rows s..s+T-1 and attends over
         rows 0..s+T-1, and the cache's length becomes s+T after the last
-        layer. Logits and MoE statistics cover the T new positions only.
+        layer. Hidden states, logits and MoE statistics cover the T new
+        positions only.
 
         A cached forward must run under no_grad() (cached K/V are plain
         arrays, so gradients would stop at them), with a cache built for this
@@ -273,11 +288,12 @@ class Model:
         max_seq_len; all of this is checked before any cache row is written.
         Logits at position p depend only on tokens at positions <= p.
 
+        The forward itself never projects onto the vocabulary: the output
+        builds the (positions x vocab_size) logits when they are first read.
         With logits=False the pass stops after the last layer, which is
-        always an MoE layer: it skips the final layer norm and the
-        (positions x vocab_size) projection and returns logits=None. Every
-        layer, and so every routing decision and balance loss, is computed
-        exactly as in the full pass.
+        always an MoE layer: it skips the final layer norm too and returns
+        hidden=None and logits None. Every layer, and so every routing
+        decision and balance loss, is computed exactly as in the full pass.
         """
         ids = np.asarray(tokens)
         if ids.ndim not in (1, 2):
@@ -332,13 +348,12 @@ class Model:
         if cache is not None:
             cache.length = s + t
         if not logits:
-            return ForwardOutput(logits=None, moe_stats=stats)
+            return ForwardOutput(hidden=None, head=self.tok_emb, moe_stats=stats)
 
         x = layer_norm(x, self.lnf_gain, self.lnf_bias)
-        out = linear(x, self.tok_emb.transpose())
         if squeeze:
-            out = out.reshape(t, cfg.vocab_size)
-        return ForwardOutput(logits=out, moe_stats=stats)
+            x = x.reshape(t, d)
+        return ForwardOutput(hidden=x, head=self.tok_emb, moe_stats=stats)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:

@@ -13,18 +13,20 @@ permutation puts the outputs back in token order. An expert that receives no
 token is not called.
 
 Each call also yields one RoutingStats record: the selection, the fraction
-f_i of tokens routed to each expert, and the Switch load-balancing loss
-N * sum_i f_i * P_i as a graph node, with P_i the mean gate probability of
-expert i. Only P carries gradient; f enters as a constant.
+f_i of tokens routed to each expert, the gate probabilities, and from them,
+when first read, the Switch load-balancing loss N * sum_i f_i * P_i as a
+graph node, with P_i the mean gate probability of expert i. Only P carries
+gradient; f enters as a constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tensor import Tensor, concat, gelu, linear, softmax
+from .tensor import Tensor, concat, gelu, linear, set_grad_enabled, softmax
 
 
 @dataclass
@@ -57,16 +59,25 @@ class MoeLayer:
 class RoutingStats:
     """One MoE layer's routing record for one forward pass over T tokens.
 
-    selected holds each token's expert index and token_fraction the length-N
-    vector f, the share of tokens each expert received. balance is the
-    load-balancing loss N * sum_i f_i * P_i as a graph node: it equals 1.0
-    when both f and the mean gate probabilities P are uniform and grows
-    toward N as routing concentrates on fewer experts.
+    selected holds each token's expert index, token_fraction the length-N
+    vector f, the share of tokens each expert received, and probs the (T, N)
+    gate probabilities. balance is the load-balancing loss
+    N * sum_i f_i * P_i as a graph node: it equals 1.0 when both f and the
+    mean gate probabilities P are uniform and grows toward N as routing
+    concentrates on fewer experts. It is built on first read and then kept,
+    recorded for backward exactly when probs was, so a pass that nothing
+    asks for its balance (a decode step) builds no balance node.
     """
 
     selected: np.ndarray
     token_fraction: np.ndarray
-    balance: Tensor
+    probs: Tensor
+
+    @cached_property
+    def balance(self) -> Tensor:
+        with set_grad_enabled(self.probs.requires_grad):
+            mean_prob = self.probs.sum(axis=0) * (1.0 / len(self.selected))  # P
+            return (mean_prob * self.token_fraction).sum() * float(len(self.token_fraction))
 
     @property
     def balance_loss(self) -> float:
@@ -95,8 +106,4 @@ def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats]:
                       for expert, count, end in zip(layer.experts, counts, ends) if count])
     rows = np.arange(n_tokens)[:, None]
     out = grouped[np.argsort(order)] * probs[rows, selected[:, None]]
-
-    token_fraction = counts / n_tokens
-    mean_prob = probs.sum(axis=0) * (1.0 / n_tokens)  # P
-    balance = (mean_prob * token_fraction).sum() * float(layer.n_experts)
-    return out, RoutingStats(selected, token_fraction, balance)
+    return out, RoutingStats(selected, counts / n_tokens, probs)

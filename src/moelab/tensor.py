@@ -40,15 +40,20 @@ GELU_SCALE = math.sqrt(2.0 / math.pi)
 
 
 @contextmanager
-def no_grad():
-    """Disable graph recording inside the block (inference, finite differences)."""
+def set_grad_enabled(enabled: bool):
+    """Record the graph inside the block exactly when `enabled`, then restore the mode."""
     global _grad_enabled
     prev = _grad_enabled
-    _grad_enabled = False
+    _grad_enabled = enabled
     try:
         yield
     finally:
         _grad_enabled = prev
+
+
+def no_grad():
+    """Disable graph recording inside the block (inference, finite differences)."""
+    return set_grad_enabled(False)
 
 
 def grad_enabled() -> bool:
@@ -334,26 +339,32 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-likelihood of integer `targets` under row-softmax of (..., V) `logits`.
+def cross_entropy(x: Tensor, weight: Tensor, targets) -> Tensor:
+    """Mean negative log-likelihood of integer `targets` under row-softmax of the
+    tied logits x @ weight^T, for (..., d) hidden states x and a (V, d) table weight.
 
-    Targets have the logits' leading shape. The forward needs only each
-    row's normalizer, so it keeps the exponentials unnormalized; backward
-    divides them into probabilities and forms the fused
-    (softmax - one_hot) / rows gradient in that same buffer, so the op holds
-    one logits-sized array beyond its input.
+    Targets have x's leading shape. The head projection and the loss are one
+    node: the forward computes the logits into one (rows, V) buffer and turns
+    it in place into their unnormalized exponentials, since the loss needs
+    only each row's normalizer. Backward divides that buffer into
+    probabilities, forms the fused G = (softmax - one_hot) / rows in it, and
+    then gx = G @ weight and gweight = (x2^T @ G)^T, with x2 the rows of x. So
+    the op holds one logits-sized array, and no logits outlive it.
     """
     targets = np.asarray(targets)
-    shape = logits.data.shape
-    if not shape or targets.shape != shape[:-1]:
-        raise ShapeError(f"targets shape {targets.shape} does not align with logits {shape}")
+    shape, w = x.data.shape, weight.data
+    if not shape or w.ndim != 2 or shape[-1] != w.shape[1]:
+        raise ShapeError(f"cross_entropy needs x (..., d) and weight (V, d), "
+                         f"got {shape} and {w.shape}")
+    if targets.shape != shape[:-1]:
+        raise ShapeError(f"targets shape {targets.shape} does not align with x {shape}")
     if targets.size == 0:
         raise ValueError("cross_entropy needs at least one target")
-    v = shape[-1]
-    targets = check_ids(targets, v, "target").reshape(-1)
+    targets = check_ids(targets, w.shape[0], "target").reshape(-1)
     n = targets.size
-    z = logits.data.reshape(n, v)
-    p = z - z.max(axis=1, keepdims=True)
+    x2 = x.data.reshape(n, w.shape[1])
+    p = x2 @ w.T
+    p -= p.max(axis=1, keepdims=True)
     picked = p[np.arange(n), targets]
     np.exp(p, out=p)
     norm = p.sum(axis=1, keepdims=True)
@@ -365,20 +376,26 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         np.divide(p, norm, out=p)
         np.multiply(p, scale, out=p)
         p[np.arange(n), targets] -= scale
-        logits._accum(p.reshape(shape))
+        if x.requires_grad:
+            x._accum((p @ w).reshape(shape))
+        if weight.requires_grad:
+            weight._accum((x2.T @ p).T)
 
-    return Tensor._op(np.asarray(loss), (logits,), bwd)
+    return Tensor._op(np.asarray(loss), (x, weight), bwd)
 
 
 def check_ids(ids, bound: int, noun: str) -> np.ndarray:
     """`ids` as an integer array whose every entry lies in [0, bound).
 
     ValueError otherwise, in the words of `noun`: a non-integer dtype names
-    what position 0 holds; an id out of range names the first one by its
-    position, an index for a sequence and an index tuple for a batch.
+    what position 0 holds; an id out of range, a Python int too wide for 64
+    bits included, names the first one by its position, an index for a
+    sequence and an index tuple for a batch.
     """
     ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
+    wide = ids.dtype == object and all(  # numpy keeps ints past 64 bits as objects
+        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids.flat)
+    if ids.dtype.kind not in "iu" and not wide:
         raise ValueError(f"{noun}s must be integers, got {ids.dtype}: "
                          f"position 0 holds {ids.flat[0]!r}")
     bad = (ids < 0) | (ids >= bound)

@@ -38,9 +38,11 @@ class LossBreakdown:
 def total_loss(output: ForwardOutput, targets, alpha: float) -> LossBreakdown:
     """Cross-entropy plus alpha times the MoE layers' balance losses, summed in layer order.
 
-    Logits are (T, V) for targets (T,) or (B, T, V) for targets (B, T).
+    The hidden states are (T, d) for targets (T,) or (B, T, d) for targets
+    (B, T); cross_entropy projects them onto the tied head itself, so the
+    output's logits are never built.
     """
-    lm = cross_entropy(output.logits, targets)
+    lm = cross_entropy(output.hidden, output.head, targets)
     moe = output.moe_stats[0].balance
     for stats in output.moe_stats[1:]:
         moe = moe + stats.balance

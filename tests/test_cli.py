@@ -575,34 +575,49 @@ class TestPipeline:
         capsys.readouterr()
 
 
-def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path, capsys):
+# The pinned CLI steps, run in a child process whose BLAS has one thread.
+PINNED_STEPS = """
+import sys
+from moelab.cli import main
+from moelab.trainer import LrSchedule, Trainer, save_checkpoint
+config, corpus, tok, ckpt, log, out_dir, resaved = sys.argv[1:]
+assert main(["train", "--config", config, "--corpus", corpus, "--tokenizer", tok,
+             "--steps", "3", "--batch-size", "2", "--seed", "5",
+             "--checkpoint-out", ckpt, "--log", log]) == 0
+assert main(["analyze-routing", "--checkpoint", ckpt, "--tokenizer", tok, "--corpus", corpus,
+             "--sequences-per-lang", "3", "--seed", "2", "--out-dir", out_dir]) == 0
+resumed = Trainer.resume(ckpt, [], None, LrSchedule.for_total_steps(1e-3, 3), batch_size=2)
+save_checkpoint(resumed.model, resaved, resumed)
+"""
+
+
+def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path):
     """A model with two MoE layers, trained three steps: its checkpoint, the
     checkpoint a resume of it saves again, the four analyze-routing files and
-    the synthetic truth matrix. The digests were taken with the tanh-form GELU
-    and a warmup whose step 0 trains, with numpy 2.4 and OpenBLAS 0.3.31 on
+    the synthetic truth matrix. The steps run in a child process with one
+    BLAS thread, so the digests do not depend on how many threads OpenBLAS
+    picks on the machine at hand (two threads round the checkpoint's matrix
+    products differently). The digests were taken with the tanh-form GELU and
+    a warmup whose step 0 trains, with numpy 2.4 and OpenBLAS 0.3.31 on
     x86-64; another BLAS build may round matrix products differently."""
-    from moelab.trainer import LrSchedule, Trainer, save_checkpoint
-
     def sha(path):
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     ckpt, resaved, out_dir = tmp_path / "m.ckpt", tmp_path / "again.ckpt", tmp_path / "r"
-    assert main(["train", "--config", small_config(tmp_path, n_layers=4),
-                 "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
-                 "--steps", "3", "--batch-size", "2", "--seed", "5",
-                 "--checkpoint-out", str(ckpt), "--log", str(tmp_path / "log.tsv")]) == 0
-    assert main(["analyze-routing", "--checkpoint", str(ckpt), "--tokenizer", workspace["tok"],
-                 "--corpus", workspace["corpus"], "--sequences-per-lang", "3", "--seed", "2",
-                 "--out-dir", str(out_dir)]) == 0
-    capsys.readouterr()
-    resumed = Trainer.resume(str(ckpt), [], None, LrSchedule.for_total_steps(1e-3, 3),
-                             batch_size=2)
-    save_checkpoint(resumed.model, str(resaved), resumed)
+    src = os.path.dirname(os.path.dirname(moelab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])),
+        **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    proc = subprocess.run(
+        [sys.executable, "-c", PINNED_STEPS, small_config(tmp_path, n_layers=4),
+         workspace["corpus"], workspace["tok"], str(ckpt), str(tmp_path / "log.tsv"),
+         str(out_dir), str(resaved)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
     files = ["vectors.tsv", "heatmap.tsv", "distance.tsv", "doc_counts.tsv"]
     assert {"checkpoint": sha(ckpt), "resaved": sha(resaved), "truth": sha(workspace["truth"]),
             **{name: sha(out_dir / name) for name in files}} == {
-        "checkpoint": "e7ecdd5e24bacb47d2cf7e446294c0bed457c6835d9a0585b0324b0f85b136d8",
-        "resaved": "e7ecdd5e24bacb47d2cf7e446294c0bed457c6835d9a0585b0324b0f85b136d8",
+        "checkpoint": "b8dfaccec48ad00cc7f4d508634278fe82b6621d76d690cd8733df813b392a7e",
+        "resaved": "b8dfaccec48ad00cc7f4d508634278fe82b6621d76d690cd8733df813b392a7e",
         "truth": "84f4cac944b6ed4995f48f6acb379dd9edca3b2556784282b3cdd83e9f6a70b6",
         "vectors.tsv": "47e421e14e4bec09a78ef50a550bf688b194e9721bd477a2e40cbef47cefcb15",
         "heatmap.tsv": "48f2d1ad0ea5259668f49f8d6b36735802d1837b7bc1b24682877f668776fa90",

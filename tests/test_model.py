@@ -13,7 +13,8 @@ from moelab import model as model_mod
 from moelab.errors import ConfigError, ShapeError
 from moelab.model import (FFN_MULTIPLIER, KVCache, Model, ModelConfig, desk_config, generate,
                           moe_layer_indices, param_count)
-from moelab.tensor import no_grad
+from moelab.moe import moe_forward
+from moelab.tensor import linear, no_grad
 
 
 # The paper's full-scale shape: not buildable on a desk, but countable.
@@ -119,6 +120,32 @@ class TestForward:
             assert np.array_equal(new[:t], base[:t])
             assert not np.array_equal(new[t:], base[t:])
 
+    def test_logits_built_on_first_read_as_the_forward_recorded(self):
+        model = Model(tiny_config(seed=2))
+        toks = np.arange(6)
+        out = model.forward(toks)
+        assert "logits" not in vars(out)
+        with no_grad():
+            logits = out.logits
+            plain = model.forward(toks)
+        assert out.logits is logits and logits.requires_grad and logits.shape == (6, 64)
+        assert not plain.logits.requires_grad
+        assert np.array_equal(plain.logits.data, logits.data)
+        assert np.array_equal(logits.data, linear(out.hidden, out.head.transpose()).data)
+
+    def test_decode_builds_no_balance_node(self, monkeypatch):
+        model = Model(tiny_config(seed=6))
+        records = []
+
+        def recording_moe_forward(x, layer):
+            y, stats = moe_forward(x, layer)
+            records.append(stats)
+            return y, stats
+
+        monkeypatch.setattr(model_mod, "moe_forward", recording_moe_forward)
+        generate(model, [5, 6], 4)
+        assert len(records) == 4 and not any("balance" in vars(s) for s in records)
+
     def test_random_init_loss_near_log_vocab(self):
         from moelab.tensor import cross_entropy
         model = Model(tiny_config(vocab_size=512, max_seq_len=32, seed=7))
@@ -126,7 +153,7 @@ class TestForward:
         toks = rng.integers(0, 512, size=33)
         with no_grad():
             out = model.forward(toks[:-1])
-        loss = cross_entropy(out.logits, toks[1:]).item()
+        loss = cross_entropy(out.hidden, out.head, toks[1:]).item()
         assert abs(loss - math.log(512)) / math.log(512) < 0.05
 
     def test_forward_is_deterministic(self):
@@ -190,6 +217,12 @@ class TestForward:
             model.forward(np.array([0, 64]))
         with pytest.raises(ValueError, match=r"token id -1 at position \(1, 0\) "):
             model.forward(np.array([[0, 1], [-1, 2]]))
+
+    def test_token_id_too_wide_for_64_bits_named(self):
+        model = Model(tiny_config())
+        with pytest.raises(ValueError, match=r"^token id 1180591620717411303424 at position "
+                                             r"\(0, 1\) outside \[0, 64\)$"):
+            model.forward([[5, 2**70]])
 
     def test_non_integer_tokens_rejected(self):
         model = Model(tiny_config())
@@ -263,6 +296,7 @@ class TestGenerate:
         ([1, 64], r"prompt id 64 at position 1 outside \[0, 64\)"),
         ([-1, 3], r"prompt id -1 at position 0 outside \[0, 64\)"),
         ([], "empty prompt"),
+        ([5, 2**70], r"prompt id 1180591620717411303424 at position 1 outside \[0, 64\)"),
     ])
     @pytest.mark.parametrize("new_tokens", [0, 2])
     def test_bad_prompt_rejected_before_any_forward(self, prompt, message, new_tokens,

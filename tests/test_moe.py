@@ -7,7 +7,7 @@ import pytest
 
 from moelab.errors import ShapeError
 from moelab.moe import FeedForward, MoeLayer, ffn_forward, gate, moe_forward
-from moelab.tensor import Tensor, grad_check
+from moelab.tensor import Tensor, grad_check, no_grad
 
 
 def make_ffn(rng, d, hidden):
@@ -141,6 +141,34 @@ class TestAuxLoss:
             assert abs(stats.balance_loss - want) <= 1e-12 * want
             assert 0.0 < stats.balance_loss <= n + 1e-12
             assert stats.balance_loss == stats.balance.item()
+
+
+class TestLazyBalance:
+    """The balance node is built from the kept gate probabilities on first read."""
+
+    def test_built_on_first_read_then_kept(self):
+        rng = np.random.default_rng(20)
+        layer = make_layer(rng, d=4, n_experts=3)
+        x = rng.normal(size=(9, 4))
+        with no_grad():
+            _, stats = moe_forward(Tensor(x), layer)
+        assert "balance" not in vars(stats)
+        first = stats.balance
+        assert stats.balance is first
+        assert abs(stats.balance_loss - reference_balance(x, layer, stats.selected)) < 1e-12
+
+    def test_recorded_exactly_when_the_gate_probabilities_were(self):
+        rng = np.random.default_rng(21)
+        layer = make_layer(rng, d=4, n_experts=3)
+        x = rng.normal(size=(9, 4))
+        _, tracked = moe_forward(Tensor(x), layer)
+        with no_grad():
+            _, untracked = moe_forward(Tensor(x), layer)
+            node = tracked.balance  # read in no_grad, recorded as the forward was
+        assert not untracked.balance.requires_grad
+        assert node.item() == untracked.balance.item()
+        node.backward()
+        assert np.abs(layer.gate_weight.grad).max() > 0
 
 
 class TestMoeForward:

@@ -181,60 +181,127 @@ class TestLayerNorm:
         assert np.array_equal(got.data, want)
 
 
+def logits_loss(logits, targets):
+    """cross_entropy with the given (..., V) logits: x holds them and weight is the
+    (V, V) identity, so x @ weight^T reproduces them exactly."""
+    logits = np.asarray(logits, dtype=float)
+    return cross_entropy(Tensor(logits), Tensor(np.eye(logits.shape[-1])), targets)
+
+
+def reference_logits_loss(logits, targets):
+    """Softmax-NLL on a logits node, as a separate (..., V) op, with the fused
+    (softmax - one_hot) / rows gradient: the loss before it took the head."""
+    targets = np.asarray(targets).reshape(-1)
+    n, shape = targets.size, logits.data.shape
+    z = logits.data.reshape(n, shape[-1])
+    p = z - z.max(axis=1, keepdims=True)
+    picked = p[np.arange(n), targets]
+    np.exp(p, out=p)
+    norm = p.sum(axis=1, keepdims=True)
+    loss = (np.log(norm[:, 0]) - picked).mean()
+
+    def bwd(g):
+        scale = float(g) / n
+        np.divide(p, norm, out=p)
+        np.multiply(p, scale, out=p)
+        p[np.arange(n), targets] -= scale
+        logits._accum(p.reshape(shape))
+
+    return Tensor._op(np.asarray(loss), (logits,), bwd)
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_vocab(self):
-        loss = cross_entropy(Tensor(np.zeros((3, 4096))), np.zeros(3, dtype=int))
+        loss = cross_entropy(Tensor(np.zeros((3, 16))), Tensor(np.zeros((4096, 16))),
+                             np.zeros(3, dtype=int))
         assert abs(loss.item() - math.log(4096)) < 1e-9
 
     def test_confident_correct_is_near_zero(self):
         logits = np.zeros((1, 8))
         logits[0, 2] = 50.0
-        assert cross_entropy(Tensor(logits), [2]).item() < 1e-9
+        assert logits_loss(logits, [2]).item() < 1e-9
 
     def test_hand_value(self):
-        loss = cross_entropy(Tensor([[1.0, 2.0]]), [0])
+        loss = logits_loss([[1.0, 2.0]], [0])
         assert abs(loss.item() - 1.3132616875182228) < 1e-9
 
     def test_non_negative(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            logits = rng.normal(size=(4, 7))
+            x, w = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(7, 3)))
             targets = rng.integers(0, 7, size=4)
-            assert cross_entropy(Tensor(logits), targets).item() >= 0.0
+            assert cross_entropy(x, w, targets).item() >= 0.0
 
     @pytest.mark.parametrize("targets", [[1.7, 2.9], [True, False]], ids=["float", "bool"])
     def test_non_integer_targets_rejected(self, targets):
         with pytest.raises(ValueError, match=f"targets must be integers, got "
                                              f"{np.asarray(targets).dtype}: position 0 holds"):
-            cross_entropy(Tensor(np.zeros((2, 4))), targets)
+            logits_loss(np.zeros((2, 4)), targets)
 
     def test_no_targets_rejected(self):
         with pytest.raises(ValueError, match="at least one target"):
-            cross_entropy(Tensor(np.zeros((0, 4))), [])
+            logits_loss(np.zeros((0, 4)), [])
 
     def test_out_of_range_target_names_index(self):
         with pytest.raises(ValueError, match="position 1"):
-            cross_entropy(Tensor(np.zeros((3, 4))), [0, 9, 1])
+            logits_loss(np.zeros((3, 4)), [0, 9, 1])
 
     def test_batched_logits_equal_their_flat_rows_bitwise(self):
         rng = np.random.default_rng(14)
-        logits, targets = rng.normal(size=(2, 3, 11)), rng.integers(0, 11, size=(2, 3))
-        batched = Tensor(logits.copy(), requires_grad=True)
-        flat = Tensor(logits.reshape(6, 11).copy(), requires_grad=True)
-        loss_b, loss_f = cross_entropy(batched, targets), cross_entropy(flat, targets.reshape(6))
+        x, targets = rng.normal(size=(2, 3, 5)), rng.integers(0, 11, size=(2, 3))
+        w = rng.normal(size=(11, 5))
+        batched, flat = (Tensor(x.copy(), requires_grad=True),
+                         Tensor(x.reshape(6, 5).copy(), requires_grad=True))
+        wb, wf = Tensor(w.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+        loss_b = cross_entropy(batched, wb, targets)
+        loss_f = cross_entropy(flat, wf, targets.reshape(6))
         assert loss_b.item() == loss_f.item()
         loss_b.backward()
         loss_f.backward()
-        assert batched.grad.shape == (2, 3, 11)
-        assert np.array_equal(batched.grad.reshape(6, 11), flat.grad)
+        assert batched.grad.shape == (2, 3, 5)
+        assert np.array_equal(batched.grad.reshape(6, 5), flat.grad)
+        assert np.array_equal(wb.grad, wf.grad)
 
-    @pytest.mark.parametrize("logits, targets", [
-        ((2, 3, 5), (3, 2)), ((2, 3, 5), (6,)), ((4, 5), (5,)), ((), ()),
-    ], ids=["transposed", "flat_targets", "rows", "scalar_logits"])
-    def test_shape_mismatch_names_both_shapes(self, logits, targets):
-        with pytest.raises(ShapeError, match=re.escape(
-                f"targets shape {targets} does not align with logits {logits}")):
-            cross_entropy(Tensor(np.zeros(logits)), np.zeros(targets, dtype=int))
+    @pytest.mark.parametrize("x, weight, targets, message", [
+        ((2, 3, 5), (7, 5), (3, 2), "targets shape (3, 2) does not align with x (2, 3, 5)"),
+        ((2, 3, 5), (7, 5), (6,), "targets shape (6,) does not align with x (2, 3, 5)"),
+        ((4, 5), (7, 5), (5,), "targets shape (5,) does not align with x (4, 5)"),
+        ((4, 5), (5, 7), (4,), "cross_entropy needs x (..., d) and weight (V, d), "
+                               "got (4, 5) and (5, 7)"),
+        ((4, 5), (5,), (4,), "cross_entropy needs x (..., d) and weight (V, d), "
+                             "got (4, 5) and (5,)"),
+        ((), (7, 5), (), "cross_entropy needs x (..., d) and weight (V, d), got () and (7, 5)"),
+    ], ids=["transposed", "flat_targets", "rows", "weight_transposed", "weight_vector",
+            "scalar_logits"])
+    def test_shape_mismatch_names_both_shapes(self, x, weight, targets, message):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            cross_entropy(Tensor(np.zeros(x)), Tensor(np.zeros(weight)),
+                          np.zeros(targets, dtype=int))
+
+    @pytest.mark.parametrize("rows", [(6,), (2, 3)], ids=["sequence", "batch"])
+    def test_loss_and_gradients_equal_head_then_loss_bitwise(self, rows):
+        """The fused node against linear(x, W^T) followed by a separate
+        softmax-NLL node: the same GEMMs and steps, so the same bits."""
+        rng = np.random.default_rng(15)
+        x, w = rng.normal(size=rows + (8,)), rng.normal(size=(37, 8))
+        targets = rng.integers(0, 37, size=rows)
+        fused_x, fused_w = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+        ref_x, ref_w = Tensor(x.copy(), requires_grad=True), Tensor(w.copy(), requires_grad=True)
+        fused = cross_entropy(fused_x, fused_w, targets)
+        ref = reference_logits_loss(linear(ref_x, ref_w.transpose()), targets)
+        assert fused.item() == ref.item()
+        fused.backward()
+        ref.backward()
+        assert np.array_equal(fused_x.grad, ref_x.grad)
+        assert np.array_equal(fused_w.grad, ref_w.grad)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+        targets = rng.integers(0, 9, size=(2, 3))
+        assert grad_check(lambda: cross_entropy(x, w, targets), [x, w], h=1e-5,
+                          samples=40, seed=2) < 1e-6
 
 
 @pytest.mark.parametrize("lookup, ids, message", [
@@ -242,13 +309,18 @@ class TestCrossEntropy:
      "token id 7 at position 1 outside [0, 5)"),
     (lambda ids: embedding(Tensor(np.zeros((5, 2))), ids), [[0, 1], [4, -1]],
      "token id -1 at position (1, 1) outside [0, 5)"),
-    (lambda ids: cross_entropy(Tensor(np.zeros((3, 4))), ids), [0, 9, 1],
+    (lambda ids: embedding(Tensor(np.zeros((5, 2))), ids), [3, 2**70],
+     "token id 1180591620717411303424 at position 1 outside [0, 5)"),
+    (lambda ids: logits_loss(np.zeros((3, 4)), ids), [0, 9, 1],
      "target 9 at position 1 outside [0, 4)"),
-    (lambda ids: cross_entropy(Tensor(np.zeros((2, 3, 4))), ids), [[0, 1, 2], [3, 4, 0]],
+    (lambda ids: logits_loss(np.zeros((2, 3, 4)), ids), [[0, 1, 2], [3, 4, 0]],
      "target 4 at position (1, 1) outside [0, 4)"),
+    (lambda ids: logits_loss(np.zeros((2, 2, 4)), ids), [[0, 1], [-2**64, 0]],
+     "target -18446744073709551616 at position (1, 0) outside [0, 4)"),
     (lambda ids: Tokenizer().decode(ids), [104, 105, 0, 1, 259, 300],
      "token id 259 at position 4 outside [0, 259)"),
-], ids=["embedding", "embedding_batch", "cross_entropy", "cross_entropy_batch", "decode"])
+], ids=["embedding", "embedding_batch", "embedding_wide", "cross_entropy",
+        "cross_entropy_batch", "cross_entropy_wide", "decode"])
 def test_an_id_outside_its_table_is_named_by_noun_position_and_bound(lookup, ids, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lookup(ids)
@@ -273,13 +345,16 @@ class TestBackward:
 
     def test_softmax_cross_entropy_gradient_closed_form(self):
         rng = np.random.default_rng(9)
-        logits = Tensor(rng.normal(size=(5, 7)), requires_grad=True)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
         targets = rng.integers(0, 7, size=5)
-        cross_entropy(logits, targets).backward()
-        z = logits.data - logits.data.max(axis=1, keepdims=True)
+        cross_entropy(x, w, targets).backward()
+        logits = x.data @ w.data.T
+        z = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         p[np.arange(5), targets] -= 1.0
-        assert np.allclose(logits.grad, p / 5, atol=1e-8)
+        assert np.allclose(x.grad, p / 5 @ w.data, atol=1e-8)
+        assert np.allclose(w.grad, (p / 5).T @ x.data, atol=1e-8)
 
     def test_non_scalar_root_rejected(self):
         with pytest.raises(ValueError):
@@ -407,8 +482,32 @@ class TestBackwardUsesGraph:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak - kept <= out.logits.data.nbytes
+        b, t = batch[:, :-1].shape
+        assert peak - kept <= b * t * model.config.vocab_size * 8
 
+    def test_forward_and_loss_hold_one_logits_sized_array(self):
+        """What a desk step holds from the forward to the backward, at vocab 4096
+        against vocab 256 on the same ids: only the loss's (B*T, V) buffer grows
+        with the vocabulary. Logits built for the loss would grow with it too,
+        holding two logits-sized arrays."""
+        batch = np.random.default_rng(12).integers(0, 256, size=(8, 129))
+        rows = batch[:, :-1].size
+        held = {}
+        for vocab in (256, 4096):
+            model = Model(desk_config(vocab_size=vocab))
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                loss = total_loss(model.forward(batch[:, :-1]), batch[:, 1:], model.config.alpha)
+                held[vocab] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+            assert loss.node.requires_grad
+        one_array = rows * (4096 - 256) * 8  # 30 MiB
+        assert one_array <= held[4096] - held[256] <= one_array * 9 // 8
 
 OPS = {
     "add_mul": lambda ts: ((ts[0] + ts[1]) * ts[0]).sum(),
@@ -532,9 +631,9 @@ REUSE_CASES = {
     "add": ([(3, 3), (3, 3)], [0, 0, 0, 1], lambda u: ((u[0] + u[1]) * (u[2] + u[3])).sum()),
     "matmul_both_operands": ([(3, 3), (3, 3)], [0, 0, 1],
                              lambda u: (linear(u[0], u[1]) * u[2]).sum()),
-    "tied_embedding": ([(5, 3), (5,)], [0, 0, 1],
-                       lambda u: cross_entropy(linear(embedding(u[0], TIED_IDS), u[1].transpose())
-                                               + u[2], TIED_TARGETS)),
+    "tied_embedding": ([(5, 3), (3,)], [0, 0, 1],
+                       lambda u: cross_entropy(embedding(u[0], TIED_IDS) + u[2], u[1],
+                                               TIED_TARGETS)),
     "concat_parts": ([(2, 3), (3, 3)], [0, 1, 0],
                      lambda u: square_sum(concat([u[0], u[1], u[2]]))),
     "attention_shared_projection": ([(1, 3, 4), (1, 3, 4)], [0, 0, 0, 1],

@@ -23,14 +23,17 @@ def tiny_config(**overrides):
 
 
 def routing_record(balance, n_experts=4):
+    """Four tokens spread evenly over the experts, with gate probabilities
+    (rows not normalised) whose balance loss is `balance`."""
     selected = np.arange(4) % n_experts
     return RoutingStats(selected=selected,
                         token_fraction=np.bincount(selected, minlength=n_experts) / 4,
-                        balance=Tensor(balance))
+                        probs=Tensor(np.full((4, n_experts), balance / n_experts)))
 
 
-def injected_output(balances, rows=3, vocab=8):
-    return ForwardOutput(logits=Tensor(np.zeros((rows, vocab))),
+def injected_output(balances, rows=3, vocab=8, width=5):
+    return ForwardOutput(hidden=Tensor(np.zeros((rows, width))),
+                         head=Tensor(np.zeros((vocab, width))),
                          moe_stats=[routing_record(b) for b in balances])
 
 
@@ -48,16 +51,21 @@ class TestTotalLoss:
 
     def test_hand_built_stats(self):
         # one layer with mean gate probability == token fraction == [0.6, 0.4]
-        aux = 2 * (0.6 * 0.6 + 0.4 * 0.4)
-        got = total_loss(injected_output([aux]), np.zeros(3, dtype=int), alpha=0.01)
-        assert abs(got.moe_loss - 0.0104) < 1e-12
+        stats = RoutingStats(selected=np.array([0, 0, 0, 1, 1]),
+                             token_fraction=np.array([0.6, 0.4]),
+                             probs=Tensor(np.tile([0.6, 0.4], (5, 1))))
+        out = injected_output([])
+        out.moe_stats.append(stats)
+        got = total_loss(out, np.zeros(3, dtype=int), alpha=0.01)
+        assert abs(got.moe_loss - 0.0104) < 1e-12  # 0.01 * 2 * (0.6 * 0.6 + 0.4 * 0.4)
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             aux = rng.uniform(1.0, 4.0, size=rng.integers(1, 5)).tolist()
-            logits = Tensor(rng.normal(size=(4, 9)))
-            out = ForwardOutput(logits=logits, moe_stats=[routing_record(a) for a in aux])
+            out = ForwardOutput(hidden=Tensor(rng.normal(size=(4, 5))),
+                                head=Tensor(rng.normal(size=(9, 5))),
+                                moe_stats=[routing_record(a) for a in aux])
             got = total_loss(out, rng.integers(0, 9, size=4), alpha=0.01)
             assert abs(got.total_loss - (got.lm_loss + got.moe_loss)) < 1e-12
 
@@ -125,7 +133,7 @@ class TestTotalLoss:
             "unpermute, probability pick, scale, reshape, residual": 11,
             "2 active experts: row pick, linear, gelu, linear": 2 * 4,
             "balance loss: sum over tokens, * 1/T, p * f, sum, * N": 5,
-            "head: lnf, tok_emb transpose, logits linear, cross-entropy": 4,
+            "head: lnf, cross-entropy with the tied logits": 2,
             "alpha * balance, lm + moe": 2,
         }
         constants = 4  # 1/T, f, N and alpha
