@@ -323,7 +323,7 @@ class Model:
         x = embedding(self.tok_emb, ids)  # checks every id, named by its position in `tokens`
         if squeeze:
             x = x.reshape(1, t, d)
-        x = x + embedding(self.pos_emb, np.arange(s, s + t))
+        x = x + self.pos_emb[s:s + t]
         stats: list[RoutingStats] = []
         for i, layer in enumerate(self.layers):
             h = layer_norm(x, layer.ln1_gain, layer.ln1_bias)
@@ -404,9 +404,11 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
 
     The prompt must be a non-empty sequence of integer ids in [0, vocab_size);
     otherwise ValueError names the first bad position, before any forward.
-    One forward over the prompt fills a KVCache; each later step feeds only
-    the token just chosen, at the next position. Every position is computed
-    once: len(prompt) + max_new_tokens - 1 positions for max_new_tokens >= 1.
+    One forward over all prompt ids but the last fills a KVCache, reading no
+    logits; each step then feeds one token (the last prompt id, then the
+    token just chosen) and projects only its row onto the vocabulary. Every
+    position is computed once: len(prompt) + max_new_tokens - 1 positions for
+    max_new_tokens >= 1, and none for max_new_tokens = 0.
     A non-finite temperature raises ValueError before any forward, and
     non-finite logits raise FloatingPointError naming their position. A
     temperature so small that logits / temperature overflows raises
@@ -431,8 +433,11 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
     rng = default_rng(seed)
     cache = KVCache(model.config, batch=1)
     with no_grad():
+        if max_new_tokens and len(ids) > 1:
+            model.forward(step[:-1], cache)  # fills the cache; no logits are read
+        step = step[-1:]
         for _ in range(max_new_tokens):
-            last = model.forward(step, cache).logits.data[-1]
+            last = model.forward(step, cache).logits.data[0]
             if not np.isfinite(last).all():
                 raise FloatingPointError(f"logits at position {len(ids) - 1} are not finite")
             if temperature == 0.0:

@@ -8,9 +8,13 @@ through that scalar factor while the argmax choice itself is non-differentiable
 and treated as constant.
 
 Dispatch is dropless: one stable sort by expert groups the tokens into
-contiguous runs, each expert runs once on its run, and the inverse
-permutation puts the outputs back in token order. An expert that receives no
-token is not called.
+contiguous runs, and each expert runs once on its run. An expert that
+receives no token is not called. One combine node then scatters the runs'
+rows back to token order and scales each by its token's gate probability.
+It keeps no array of its own: backward gathers the output gradient g by the
+sort order and scales it by the gathered probabilities into each run's
+gradient, and the probability gradient at each token's selected expert is
+the row sum of g times the run's own output, read from the run.
 
 Each call also yields one RoutingStats record: the selection, the fraction
 f_i of tokens routed to each expert, the gate probabilities, and from them,
@@ -26,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import Tensor, concat, gelu, linear, set_grad_enabled, softmax
+from .tensor import Tensor, feed_forward, linear, set_grad_enabled, softmax
 
 
 @dataclass
@@ -40,7 +44,7 @@ class FeedForward:
 
 
 def ffn_forward(x: Tensor, ffn: FeedForward) -> Tensor:
-    return linear(gelu(linear(x, ffn.w1, ffn.b1)), ffn.w2, ffn.b2)
+    return feed_forward(x, ffn.w1, ffn.b1, ffn.w2, ffn.b2)
 
 
 @dataclass
@@ -91,6 +95,36 @@ def gate(x: Tensor, gate_weight: Tensor) -> Tensor:
     return softmax(linear(x, gate_weight.transpose()))
 
 
+def combine(runs: list[Tensor], order: np.ndarray, probs: Tensor,
+            selected: np.ndarray) -> Tensor:
+    """The expert runs back in token order, each row times its gate probability, as one node.
+
+    runs are the active experts' outputs in expert order; row k of them stacked
+    belongs to token order[k]. The module docstring gives the backward.
+    """
+    n_tokens = len(order)
+    picked = probs.data[np.arange(n_tokens), selected][:, None]
+    splits = np.cumsum([run.shape[0] for run in runs])[:-1]
+    out = np.empty((n_tokens, runs[0].shape[1]))
+    for run, tokens in zip(runs, np.split(order, splits)):
+        out[tokens] = run.data
+    out *= picked
+
+    def bwd(g: np.ndarray) -> None:
+        gathered = g[order]
+        parts = np.split(gathered, splits)  # one view per run
+        if probs.requires_grad:
+            gprobs = np.zeros_like(probs.data)
+            gprobs[order, selected[order]] = np.concatenate(
+                [(part * run.data).sum(axis=1) for part, run in zip(parts, runs)])
+            probs._accum(gprobs)
+        gathered *= picked[order]
+        for run, part in zip(runs, parts):
+            run._accum(part)
+
+    return Tensor._op(out, (*runs, probs), bwd)
+
+
 def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats]:
     """Route each of the T tokens in x (T x d) through its top-1 expert.
 
@@ -102,8 +136,7 @@ def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats]:
     counts = np.bincount(selected, minlength=layer.n_experts)
     order = np.argsort(selected, kind="stable")  # keeps token order within each expert
     ends = np.cumsum(counts)
-    grouped = concat([ffn_forward(x[order[end - count:end]], expert)
-                      for expert, count, end in zip(layer.experts, counts, ends) if count])
-    rows = np.arange(n_tokens)[:, None]
-    out = grouped[np.argsort(order)] * probs[rows, selected[:, None]]
+    runs = [ffn_forward(x[order[end - count:end]], expert)
+            for expert, count, end in zip(layer.experts, counts, ends) if count]
+    out = combine(runs, order, probs, selected)
     return out, RoutingStats(selected, counts / n_tokens, probs)

@@ -18,6 +18,13 @@ the node never reads it again), and _accum keeps that array as the parent's
 memory, and in-place updates of a leaf's .grad (clipping, the next +=) touch
 only that leaf.
 
+Saved arrays: a node keeps only the arrays its backward reads, and rebuilds
+what it can recompute bitwise in an elementwise pass or two from arrays the
+graph already holds. Nodes read their parents' .data in backward instead of
+saving a copy: linear and feed_forward their input x, layer_norm its input x
+(to rebuild the normalized rows from the kept mean and 1/sigma). So a
+parent's .data must not be written between a forward and its backward.
+
 All compute is 64-bit: the finite-difference gradient checks in grad_check()
 need the headroom.
 """
@@ -35,7 +42,7 @@ from .errors import GraphConsumedError, ShapeError
 
 _grad_enabled = True
 LN_EPS = 1e-5  # added to the variance in layer_norm
-GELU_CUBIC = 0.044715  # weight of x**3 inside gelu's tanh
+GELU_CUBIC = 0.044715  # weight of u**3 inside feed_forward's GELU tanh
 GELU_SCALE = math.sqrt(2.0 / math.pi)
 
 
@@ -270,37 +277,61 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return Tensor._op(out.reshape(x.data.shape[:-1] + (w.data.shape[1],)), parents, bwd)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian Error Linear Unit in its tanh form (GPT-2's): x * phi, where
-    phi = 0.5 * (1 + tanh(c * (x + 0.044715 x^3))) and c = sqrt(2 / pi).
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """The two-layer MLP a @ w2 + b2, a = gelu(u), u = x @ w1 + b1, as one node,
+    for x of shape (..., n_in), w1 (n_in, hidden) and w2 (hidden, n_out).
 
-    phi is computed in place in one buffer, so the forward allocates phi and
-    the output only. Backward reuses phi through 1 - tanh^2 = 4 phi (1 - phi):
-    d(x phi)/dx = phi + 2c phi (1 - phi) (x + 3 * 0.044715 x^3).
+    The activation is GELU in its tanh form (GPT-2's): gelu(u) = u * phi, where
+    phi = 0.5 * (1 + tanh(c * (u + 0.044715 u^3))) and c = sqrt(2 / pi), computed
+    in place in one buffer. The node keeps u and phi and rebuilds a = u * phi
+    in backward for gw2 = a^T @ g2. The gradient through the activation reuses
+    phi via 1 - tanh^2 = 4 phi (1 - phi):
+    d(u phi)/du = phi + 2c phi (1 - phi) (u + 3 * 0.044715 u^3).
+    Leading axes of x fold into the rows of each GEMM, as in linear().
     """
-    xd = x.data
-    phi = np.multiply(xd, xd, out=np.empty_like(xd))
+    xs, w1s, b1s, w2s, b2s = (t.data.shape for t in (x, w1, b1, w2, b2))
+    if (len(w1s) != 2 or len(w2s) != 2 or xs[-1:] != w1s[:1] or b1s != w1s[1:]
+            or w2s[:1] != w1s[1:] or b2s != w2s[1:]):
+        raise ShapeError(f"feed_forward needs x (..., n), w1 (n, h), b1 (h,), w2 (h, m) and "
+                         f"b2 (m,), got {xs}, {w1s}, {b1s}, {w2s} and {b2s}")
+    x2 = x.data.reshape(-1, w1s[0])
+    u = x2 @ w1.data
+    u += b1.data
+    phi = np.multiply(u, u, out=np.empty_like(u))
     phi *= GELU_SCALE * GELU_CUBIC
     phi += GELU_SCALE
-    phi *= xd
+    phi *= u
     np.tanh(phi, out=phi)
     phi *= 0.5
     phi += 0.5
+    out = np.multiply(u, phi) @ w2.data
+    out += b2.data
 
     def bwd(g: np.ndarray) -> None:
-        slope = np.multiply(xd, xd, out=np.empty_like(xd))  # 2c (x + 3 * 0.044715 x^3)
+        g2 = g.reshape(-1, b2s[0])
+        if w2.requires_grad:
+            w2._accum(np.multiply(u, phi).T @ g2)
+        if b2.requires_grad:
+            b2._accum(g2.sum(axis=0))
+        gu = g2 @ w2.data.T
+        slope = np.multiply(u, u, out=np.empty_like(u))  # 2c (u + 3 * 0.044715 u^3)
         slope *= 3.0 * GELU_CUBIC
         slope += 1.0
-        slope *= xd
+        slope *= u
         slope *= 2.0 * GELU_SCALE
-        gx = np.multiply(phi, phi, out=np.empty_like(phi))
-        np.subtract(phi, gx, out=gx)  # phi (1 - phi)
-        gx *= slope
-        gx += phi
-        gx *= g
-        x._accum(gx)
+        dphi = np.multiply(phi, phi, out=np.empty_like(phi))
+        np.subtract(phi, dphi, out=dphi)  # phi (1 - phi)
+        dphi *= slope
+        dphi += phi
+        gu *= dphi  # the gradient at u
+        if x.requires_grad:
+            x._accum((gu @ w1.data.T).reshape(xs))
+        if w1.requires_grad:
+            w1._accum(x2.T @ gu)
+        if b1.requires_grad:
+            b1._accum(gu.sum(axis=0))
 
-    return Tensor._op(xd * phi, (x,), bwd)
+    return Tensor._op(out.reshape(xs[:-1] + b2s), (x, w1, b1, w2, b2), bwd)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -319,16 +350,26 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (LN_EPS added to it), then affine."""
+    """Normalize the last axis to zero mean / unit variance (LN_EPS added to it), then affine.
+
+    The node keeps each row's mean and 1/sigma, not the normalized rows xhat:
+    backward rebuilds xhat = (x - mean) * inv from x, and the output is built
+    in xhat's buffer.
+    """
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.data.shape} and {bias.data.shape}")
-    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + LN_EPS)
-    xhat *= inv
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    out = x.data - mean
+    inv = 1.0 / np.sqrt(np.add.reduce(out * out, axis=-1, keepdims=True) / d + LN_EPS)
+    out *= inv  # xhat
+    out *= gain.data
+    out += bias.data
 
     def bwd(g: np.ndarray) -> None:
+        xhat = x.data - mean
+        xhat *= inv
         gain._accum(_unbroadcast(g * xhat, gain.data.shape))
         bias._accum(_unbroadcast(g, bias.data.shape))
         dxhat = g * gain.data
@@ -336,7 +377,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         x._accum(term * inv)
 
-    return Tensor._op(xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return Tensor._op(out, (x, gain, bias), bwd)
 
 
 def cross_entropy(x: Tensor, weight: Tensor, targets) -> Tensor:
@@ -409,18 +450,6 @@ def check_ids(ids, bound: int, noun: str) -> np.ndarray:
 def embedding(weight: Tensor, ids) -> Tensor:
     """Row lookup weight[ids], with every id checked against the table size."""
     return weight[check_ids(ids, weight.data.shape[0], "token id")]
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Join tensors along the first axis; backward hands each part its own rows."""
-    parts = tuple(parts)
-    ends = np.cumsum([p.data.shape[0] for p in parts])[:-1]
-
-    def bwd(g: np.ndarray) -> None:
-        for p, gp in zip(parts, np.split(g, ends)):
-            p._accum(gp)
-
-    return Tensor._op(np.concatenate([p.data for p in parts]), parts, bwd)
 
 
 # -- gradient verification -----------------------------------------------------

@@ -143,8 +143,8 @@ class TestForward:
             return y, stats
 
         monkeypatch.setattr(model_mod, "moe_forward", recording_moe_forward)
-        generate(model, [5, 6], 4)
-        assert len(records) == 4 and not any("balance" in vars(s) for s in records)
+        generate(model, [5, 6], 4)  # one prefill forward, then 4 one-token steps
+        assert len(records) == 5 and not any("balance" in vars(s) for s in records)
 
     def test_random_init_loss_near_log_vocab(self):
         from moelab.tensor import cross_entropy
@@ -342,7 +342,25 @@ class TestGenerate:
         out = generate(model, list(range(1, prompt_len + 1)), new_tokens)
         assert len(out) == prompt_len + new_tokens
         assert sum(positions) == prompt_len + new_tokens - 1
-        assert positions == [prompt_len] + [1] * (new_tokens - 1)
+        prefill = [prompt_len - 1] if prompt_len > 1 else []
+        assert positions == prefill + [1] * new_tokens
+
+    @pytest.mark.parametrize("prompt_len, new_tokens", [(1, 3), (5, 0), (5, 4)])
+    def test_every_logits_array_read_is_one_row(self, prompt_len, new_tokens, monkeypatch):
+        # The prefill reads no logits; each step projects only its one new row.
+        model = Model(tiny_config(seed=6))
+        outputs = []
+        forward = Model.forward
+
+        def recording(self, *args, **kwargs):
+            outputs.append(forward(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(Model, "forward", recording)
+        generate(model, list(range(1, prompt_len + 1)), new_tokens)
+        shapes = [vars(out)["logits"].shape for out in outputs if "logits" in vars(out)]
+        assert shapes == [(1, model.config.vocab_size)] * new_tokens
+        assert len(outputs) == new_tokens + (prompt_len > 1 and new_tokens > 0)
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     @pytest.mark.parametrize("config", [tiny_config(seed=6), desk_config(seed=2)],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moelab.errors import ShapeError
-from moelab.moe import FeedForward, MoeLayer, ffn_forward, gate, moe_forward
+from moelab.moe import FeedForward, MoeLayer, combine, ffn_forward, gate, moe_forward
 from moelab.tensor import Tensor, grad_check, no_grad
 
 
@@ -307,3 +307,56 @@ class TestMoeForward:
         # only the gate weight is differentiable here; token assignments are
         # locally constant almost everywhere so FD stays clean
         assert grad_check(loss, [layer.gate_weight], h=1e-6, samples=12, seed=3) < 1e-4
+
+
+class TestCombine:
+    """The node that puts expert runs back in token order, scaled by gate probability."""
+
+    SELECTED = np.array([2, 0, 2, 2, 0, 3, 2])  # expert 1 gets no token
+    ORDER = np.argsort(SELECTED, kind="stable")
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = np.bincount(self.SELECTED, minlength=4)
+        runs = [Tensor(rng.normal(size=(c, 3)), requires_grad=True) for c in counts if c]
+        probs = Tensor(rng.uniform(0.1, 1.0, size=(len(self.SELECTED), 4)), requires_grad=True)
+        return runs, probs
+
+    def test_scatters_to_token_order_and_scales_bitwise(self):
+        runs, probs = self.inputs(30)
+        out = combine(runs, self.ORDER, probs, self.SELECTED)
+        stacked = np.concatenate([r.data for r in runs])
+        rows = np.arange(len(self.SELECTED))
+        want = stacked[np.argsort(self.ORDER)] * probs.data[rows, self.SELECTED][:, None]
+        assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_finite_differences_with_an_idle_expert(self, seed):
+        runs, probs = self.inputs(31 + seed)
+        weights = np.random.default_rng(seed).normal(size=(len(self.SELECTED), 3))
+
+        def loss():
+            return (combine(runs, self.ORDER, probs, self.SELECTED) * weights).sum()
+
+        assert grad_check(loss, [*runs, probs], h=1e-5, samples=60, seed=seed) < 1e-6
+        loss().backward()
+        picked = np.zeros(probs.shape, dtype=bool)
+        picked[np.arange(len(self.SELECTED)), self.SELECTED] = True
+        assert (probs.grad[~picked] == 0).all() and (probs.grad[picked] != 0).all()
+
+    def test_moe_forward_gradients_with_an_idle_expert(self):
+        rng = np.random.default_rng(15)
+        layer = make_layer(rng, d=4, n_experts=3, hidden=6)
+        x = rng.normal(size=(12, 4))
+        x[:, 0] = 1.0
+        layer.gate_weight.data[2, 0] = -10.0  # expert 2 starves
+        _, stats = moe_forward(Tensor(x), layer)
+        assert stats.token_fraction[2] == 0 and (stats.token_fraction[:2] > 0).all()
+        params = [layer.gate_weight] + [p for ex in layer.experts[:2]
+                                        for p in (ex.w1, ex.b1, ex.w2, ex.b2)]
+
+        def loss():
+            y, stats = moe_forward(Tensor(x), layer)
+            return (y * y).sum() + stats.balance * 0.01
+
+        assert grad_check(loss, params, h=1e-5, samples=60, seed=2) < 1e-4

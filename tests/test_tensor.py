@@ -12,7 +12,8 @@ import pytest
 from moelab.errors import GraphConsumedError, ShapeError
 from moelab.model import Model, attention, desk_config, generate
 from moelab.optim import CLIP_NORM, AdamState, adam_step, clip_global_norm
-from moelab.tensor import (LN_EPS, Tensor, concat, cross_entropy, embedding, gelu, grad_check,
+from moelab.moe import combine
+from moelab.tensor import (LN_EPS, Tensor, cross_entropy, embedding, feed_forward, grad_check,
                            layer_norm, linear, no_grad, softmax)
 from moelab.tokenizer import Tokenizer
 from moelab.trainer import total_loss
@@ -110,37 +111,89 @@ def gelu_formula(x):
     return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
+def identity_ffn(x):
+    """feed_forward through identity weights and zero biases: both GEMMs are
+    exact there, so the output is its GELU, x * phi(x), bitwise."""
+    n = x.shape[-1]
+    eye, zero = Tensor(np.eye(n)), Tensor(np.zeros(n))
+    return feed_forward(x, eye, zero, eye, zero)
+
+
+def gelu(x):
+    """The GELU of a numpy array of any shape, through identity_ffn one value per row."""
+    x = np.asarray(x, dtype=float)
+    return identity_ffn(Tensor(x.reshape(-1, 1))).data.reshape(x.shape)
+
+
 class TestGelu:
+    """GELU through feed_forward with identity weights (identity_ffn)."""
+
     def test_zero(self):
-        assert gelu(Tensor(0.0)).item() == 0.0
+        assert gelu(0.0) == 0.0
 
     def test_asymptote(self):
-        assert abs(gelu(Tensor(10.0)).item() - 10.0) < 1e-6
+        assert abs(gelu(10.0) - 10.0) < 1e-6
 
     def test_tanh_form_oracle(self):
         # 0.8411919906082768 by the formula; exact GELU's Phi(1) is 0.8413447460685429
-        assert abs(gelu(Tensor(1.0)).item() - gelu_formula(1.0)) < 1e-15
+        assert abs(gelu(1.0) - gelu_formula(1.0)) < 1e-15
 
     @pytest.mark.parametrize("x", [np.linspace(-8.0, 8.0, 4001), np.array(-1.7), np.array(2.3)],
                              ids=["grid", "0-d negative", "0-d positive"])
     def test_in_place_form_matches_the_plain_formula(self, x):
         # not bitwise: the in-place form folds the constants in another order
-        got = gelu(Tensor(x)).data
+        got = gelu(x)
         assert got.shape == x.shape
         assert np.abs(got - gelu_formula(x)).max() <= 1e-15
 
     def test_within_5e_4_of_exact_gelu(self):
         from scipy.stats import norm
         x = np.linspace(-6.0, 6.0, 4001)
-        diff = np.abs(gelu(Tensor(x)).data - x * norm.cdf(x)).max()
+        diff = np.abs(gelu(x) - x * norm.cdf(x)).max()
         assert 1e-4 < diff < 5e-4  # the approximation is real, and small
+
+    def test_identity_weights_of_any_width_give_the_same_bits(self):
+        x = np.random.default_rng(59).normal(scale=3.0, size=(2, 3, 5))
+        assert np.array_equal(identity_ffn(Tensor(x)).data, gelu(x))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_finite_differences_out_to_4(self, seed):
         rng = np.random.default_rng(seed + 60)
         x = Tensor(rng.uniform(-4.0, 4.0, size=(3, 5)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 5)))
-        assert grad_check(lambda: (gelu(x) * w).sum(), [x], samples=15, seed=seed) < 1e-6
+        assert grad_check(lambda: (identity_ffn(x) * w).sum(), [x], samples=15, seed=seed) < 1e-6
+
+
+class TestFeedForward:
+    def test_equals_the_unfused_products_bitwise(self):
+        rng = np.random.default_rng(61)
+        x, w1, b1, w2, b2 = (rng.normal(size=s) for s in [(2, 3, 4), (4, 6), (6,), (6, 5), (5,)])
+        want = gelu(x.reshape(6, 4) @ w1 + b1) @ w2 + b2
+        got = feed_forward(*map(Tensor, (x, w1, b1, w2, b2))).data
+        assert got.shape == (2, 3, 5)
+        assert np.array_equal(got.reshape(6, 5), want)
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=["2d", "3d"])
+    def test_gradients_match_finite_differences(self, lead):
+        rng = np.random.default_rng(62 + len(lead))
+        shapes = [lead + (4,), (4, 6), (6,), (6, 3), (3,)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        weights = rng.normal(size=lead + (3,))
+
+        def loss():
+            return (feed_forward(*params) * weights).sum()
+
+        assert grad_check(loss, params, h=1e-5, samples=60, seed=len(lead)) < 1e-4
+
+    def test_shape_errors_name_every_shape(self):
+        x, w1, b1, w2, b2 = (Tensor(np.ones(s)) for s in [(2, 4), (4, 6), (6,), (6, 3), (3,)])
+        with pytest.raises(ShapeError,
+                           match=r"got \(2, 4\), \(4, 6\), \(5,\), \(6, 3\) and \(3,\)"):
+            feed_forward(x, w1, Tensor(np.ones(5)), w2, b2)
+        with pytest.raises(ShapeError, match=r"got \(2, 3\), \(4, 6\)"):
+            feed_forward(Tensor(np.ones((2, 3))), w1, b1, w2, b2)
+        with pytest.raises(ShapeError, match=r"\(5, 3\) and \(3,\)$"):
+            feed_forward(x, w1, b1, Tensor(np.ones((5, 3))), b2)
 
 
 class TestLayerNorm:
@@ -420,7 +473,9 @@ class TestBackwardUsesGraph:
         loss = total_loss(model.forward(ids[:, :-1]), ids[:, 1:], model.config.alpha).node
         nodes = graph_nodes(loss)
         interior = [n for n in nodes if n._backward is not None]
-        assert len(interior) > 50
+        # test_train_graph_node_count's 41 op nodes, which route to two experts,
+        # plus the row pick and feed_forward of the third expert this batch reaches
+        assert len(interior) == 41 + 2
         loss.backward()
         assert all(n.grad is None and n._backward is None and n._parents is None
                    for n in interior)
@@ -512,7 +567,7 @@ class TestBackwardUsesGraph:
 OPS = {
     "add_mul": lambda ts: ((ts[0] + ts[1]) * ts[0]).sum(),
     "matmul": lambda ts: linear(ts[0], ts[1].transpose()).sum(),
-    "gelu": lambda ts: gelu(linear(ts[0], ts[1].transpose())).sum(),
+    "gelu": lambda ts: identity_ffn(linear(ts[0], ts[1].transpose())).sum(),
     "softmax": lambda ts: (softmax(ts[0]) * ts[1]).sum(),
     "sum_axis0": lambda ts: (ts[0].sum(axis=0) * ts[1]).sum() * 3.0,
 }
@@ -526,6 +581,37 @@ def test_gradients_match_finite_differences(op, seed):
     ts = [Tensor(rng.normal(size=shape), requires_grad=True) for _ in range(2)]
     err = grad_check(lambda: OPS[op](ts), ts, h=1e-5, samples=16, seed=seed)
     assert err < 1e-4, f"{op} grad error {err}"
+
+
+def bytes_held(f):
+    """f()'s result and the traced bytes still allocated when f returns, the result's included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_recorded_nodes_keep_only_what_their_backward_reads():
+    """feed_forward keeps u and phi but not the activation u * phi; layer_norm
+    keeps a mean and 1/sigma per row but not the normalized rows."""
+    rng = np.random.default_rng(63)
+    rows, d = 256, 32
+    one_row_d, one_row_h = rows * d * 8, rows * 4 * d * 8
+    x = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+    ffn = [Tensor(rng.normal(size=s), requires_grad=True)
+           for s in [(d, 4 * d), (4 * d,), (4 * d, d), (d,)]]
+    out, held = bytes_held(lambda: feed_forward(x, *ffn))
+    assert out.requires_grad
+    assert one_row_d + 2 * one_row_h <= held < one_row_d + 3 * one_row_h
+    out, held = bytes_held(lambda: layer_norm(x, Tensor(np.ones(d)), Tensor(np.zeros(d))))
+    assert out.requires_grad
+    assert one_row_d <= held < 2 * one_row_d
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -552,8 +638,8 @@ def test_gather_scatter_embedding_gradients():
     def loss():
         e = embedding(w, ids)                   # id 1 looked up twice
         rows = e[np.array([0, 2, 0])]           # fancy rows, row 0 picked twice
-        s = concat([rows * 2.0, e[1:3]])        # slice
-        picked = s[np.array([1, 3, 4]), np.array([0, 2, 1])]  # (row, col) pairs
+        s = rows * 2.0 + e[1:4]                 # slice
+        picked = s[np.array([1, 2, 0]), np.array([0, 2, 1])]  # (row, col) pairs
         return square_sum(s) + picked.sum()
 
     assert grad_check(loss, [w], h=1e-5, samples=18, seed=2) < 1e-4
@@ -625,6 +711,8 @@ def test_attention_matches_reference_and_finite_differences(past):
 
 
 TIED_IDS, TIED_TARGETS = np.array([1, 4, 1]), np.array([0, 2, 3])
+COMBINE_SELECTED = np.array([1, 0, 2, 1, 2, 0, 1])  # runs of 2, 3 and 2 tokens
+COMBINE_ORDER = np.argsort(COMBINE_SELECTED, kind="stable")
 
 # name: (shape of each leaf, the leaf behind each use, loss over the uses)
 REUSE_CASES = {
@@ -634,8 +722,8 @@ REUSE_CASES = {
     "tied_embedding": ([(5, 3), (3,)], [0, 0, 1],
                        lambda u: cross_entropy(embedding(u[0], TIED_IDS) + u[2], u[1],
                                                TIED_TARGETS)),
-    "concat_parts": ([(2, 3), (3, 3)], [0, 1, 0],
-                     lambda u: square_sum(concat([u[0], u[1], u[2]]))),
+    "combine_runs": ([(2, 3), (3, 3), (7, 3)], [0, 1, 0, 2],
+                     lambda u: square_sum(combine(u[:3], COMBINE_ORDER, u[3], COMBINE_SELECTED))),
     "attention_shared_projection": ([(1, 3, 4), (1, 3, 4)], [0, 0, 0, 1],
                                     lambda u: (attention(u[0], u[1], u[2], 2) * u[3]).sum()),
 }

@@ -113,7 +113,8 @@ class TestTotalLoss:
 
     def test_train_graph_node_count(self):
         """Timing-free guard on the train step's graph: each projection is one
-        linear node and each attention one node, so per-op fallbacks add nodes."""
+        linear node, each attention, feed-forward block and MoE combine one
+        node, so per-op fallbacks add nodes."""
         model = Model(tiny_config())
         batch = np.random.default_rng(0).integers(0, 512, size=(2, 9))
         out = model.forward(batch[:, :-1])
@@ -126,12 +127,12 @@ class TestTotalLoss:
                     stack.append(parent)
         assert [int((s.token_fraction > 0).sum()) for s in out.moe_stats] == [2]
         ops = {
-            "token and position lookups, their sum": 3,
+            "token lookup, position slice, their sum": 3,
             "2 layers: ln1, q, k, v, attention, out projection, residual": 2 * 7,
-            "dense block: ln2, linear, gelu, linear, residual": 5,
-            "MoE block: ln2, reshape, gate transpose and linear, softmax, concat, "
-            "unpermute, probability pick, scale, reshape, residual": 11,
-            "2 active experts: row pick, linear, gelu, linear": 2 * 4,
+            "dense block: ln2, feed_forward, residual": 3,
+            "MoE block: ln2, reshape, gate transpose and linear, softmax, combine, "
+            "reshape, residual": 8,
+            "2 active experts: row pick, feed_forward": 2 * 2,
             "balance loss: sum over tokens, * 1/T, p * f, sum, * N": 5,
             "head: lnf, cross-entropy with the tied logits": 2,
             "alpha * balance, lm + moe": 2,
