@@ -2,13 +2,12 @@
 
 For each language we count how many tokens each (MoE layer, expert) pair
 received, giving one non-negative (layers, experts) array per language. The
-counts come from routing passes, Model.forward(..., logits=False), which stop after the last
-MoE layer: no pass runs the final layer norm or builds the (positions x
-vocab_size) logits array, since nothing here reads it. Distances between
-unit-normalized vectors, divided by sqrt(2), land in [0, 1] and can be
-compared against reference language-distance matrices (family trees,
-synthetic ground truth) via Pearson correlation over the strict upper
-triangle.
+counts come from plain no-grad Model.forward passes, the forward that trains
+and decodes; nothing here reads their logits, so no (positions x vocab_size)
+array is built. Distances between unit-normalized vectors, divided by
+sqrt(2), land in [0, 1] and can be compared against reference
+language-distance matrices (family trees, synthetic ground truth) via
+Pearson correlation over the strict upper triangle.
 """
 
 from __future__ import annotations
@@ -95,9 +94,11 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
                         seed: int, languages: list[str] | None = None) -> list[ActivationVector]:
     """Count routed tokens per (MoE layer, expert) pair for each language.
 
-    Runs routing passes only: no parameter is touched. Deterministic for a
-    given seed; each language draws from its own substream. A
-    sequences_per_lang below 1 raises ValueError before any encode or forward.
+    Runs no-grad forwards of up to CHUNK sequences and reads only their
+    routing records: no parameter is touched and no logits are built.
+    Deterministic for a given seed; each language draws from its own
+    substream. A sequences_per_lang below 1 raises ValueError before any
+    encode or forward.
     A pass whose balance loss is not finite raises FloatingPointError naming
     the language and the MoE layer, counting from 0 in model order.
     """
@@ -121,7 +122,7 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
         counts = 0
         for start in range(0, len(seqs), CHUNK):
             with no_grad():
-                out = model.forward(seqs[start:start + CHUNK], logits=False)
+                out = model.forward(seqs[start:start + CHUNK])
             for layer, stats in enumerate(out.moe_stats):  # NaN gate probabilities argmax to 0
                 if not math.isfinite(stats.balance_loss):
                     raise FloatingPointError(

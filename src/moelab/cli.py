@@ -22,6 +22,17 @@ from .tensor import no_grad
 from .tokenizer import BOS_ID, EOS_ID, Tokenizer
 
 
+def _seed_arg(text: str) -> int:
+    """The argparse type of every --seed: an integer >= 0, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # refused below, with the text as given
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="moelab",
                                      description="Desk-scale MoE language-model lab")
@@ -39,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--batch-size", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True,
+    p.add_argument("--seed", type=_seed_arg, required=True,
                    help="overrides the config seed for init and batch sampling")
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--log", required=True, help="training log TSV path")
@@ -52,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", required=True)
     p.add_argument("--max-new-tokens", type=int, required=True)
     p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed_arg, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perplexity", help="per-language and overall perplexity")
@@ -71,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--langs-per-family", type=int, required=True)
     p.add_argument("--docs-per-lang", type=int, required=True)
     p.add_argument("--doc-len", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, required=True)
     p.add_argument("--out", required=True, help="corpus JSONL output")
     p.add_argument("--truth", required=True, help="ground-truth distance matrix TSV output")
     p.set_defaults(func=cmd_synth_corpus)
@@ -81,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--sequences-per-lang", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_analyze_routing)
 
@@ -115,6 +126,15 @@ def _check_output_dirs(*outputs: tuple[str, str]) -> None:
         directory = os.path.dirname(path)
         if directory and not os.path.isdir(directory):
             raise ValueError(f"{flag} {path}: directory {directory} does not exist")
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse an --out-dir that is, or lies under, something other than a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ValueError(f"--out-dir {path}: {existing} is not a directory")
 
 
 def cmd_tokenizer_train(args) -> int:
@@ -218,6 +238,7 @@ def cmd_synth_corpus(args) -> int:
 
 
 def cmd_analyze_routing(args) -> int:
+    _check_out_dir(args.out_dir)
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
     _check_tokenizer_fits(net, tok, args)

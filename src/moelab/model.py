@@ -153,21 +153,18 @@ class ForwardOutput:
     """The final hidden states, the tied head, and one routing record per MoE layer, in layer order.
 
     hidden is the final layer norm's output, (T, d) for a sequence or
-    (B, T, d) for a batch, and None after a routing pass, forward(tokens,
-    logits=False). head is the tied (vocab_size, d) embedding. logits,
-    hidden @ head^T (None when hidden is), are built on first read, recorded
-    for backward exactly when hidden was, and kept; total_loss never reads
-    them. total_loss also sums the records' balance-loss nodes.
+    (B, T, d) for a batch. head is the tied (vocab_size, d) embedding.
+    logits, hidden @ head^T, are built on first read, recorded for backward
+    exactly when hidden was, and kept; total_loss never reads them.
+    total_loss also sums the records' balance-loss nodes.
     """
 
-    hidden: Tensor | None
+    hidden: Tensor
     head: Tensor
     moe_stats: list[RoutingStats]
 
     @cached_property
-    def logits(self) -> Tensor | None:
-        if self.hidden is None:
-            return None
+    def logits(self) -> Tensor:
         with set_grad_enabled(self.hidden.requires_grad):
             return linear(self.hidden, self.head.transpose())
 
@@ -271,8 +268,7 @@ class Model:
 
     # -- forward -----------------------------------------------------------------
 
-    def forward(self, tokens, cache: KVCache | None = None, *,
-                logits: bool = True) -> ForwardOutput:
+    def forward(self, tokens, cache: KVCache | None = None) -> ForwardOutput:
         """Causal forward pass over one sequence (T,) or a batch (B, T) of integer ids.
 
         Without a cache the T tokens are positions 0..T-1. With a cache that
@@ -290,10 +286,6 @@ class Model:
 
         The forward itself never projects onto the vocabulary: the output
         builds the (positions x vocab_size) logits when they are first read.
-        With logits=False the pass stops after the last layer, which is
-        always an MoE layer: it skips the final layer norm too and returns
-        hidden=None and logits None. Every layer, and so every routing
-        decision and balance loss, is computed exactly as in the full pass.
         """
         ids = np.asarray(tokens)
         if ids.ndim not in (1, 2):
@@ -347,9 +339,6 @@ class Model:
                 x = x + ffn_forward(h, layer.ffn)
         if cache is not None:
             cache.length = s + t
-        if not logits:
-            return ForwardOutput(hidden=None, head=self.tok_emb, moe_stats=stats)
-
         x = layer_norm(x, self.lnf_gain, self.lnf_bias)
         if squeeze:
             x = x.reshape(t, d)

@@ -72,25 +72,23 @@ class TestCollectActivations:
             assert np.array_equal(va.counts, vb.counts)
 
     def test_counts_equal_full_forward_routing(self, tiny_setup, monkeypatch):
-        """Each routing pass's counts match the bincount of the full forward on its chunk."""
+        """Each language's counts are the bincounts of the plain forwards on its chunks."""
         model, tok, docs, _ = tiny_setup
         forward = model.forward
         n = model.config.n_experts
-        from_full = []
+        from_forward = []
 
-        def routing_pass_beside_full_forward(ids, *, logits=True):
-            assert not logits
-            full = forward(ids)
-            assert full.logits is not None
-            from_full.append(np.stack(
-                [np.bincount(s.selected, minlength=n) for s in full.moe_stats]))
-            return forward(ids, logits=False)
+        def recording_forward(ids):
+            out = forward(ids)
+            from_forward.append(np.stack(
+                [np.bincount(s.selected, minlength=n) for s in out.moe_stats]))
+            return out
 
-        monkeypatch.setattr(model, "forward", routing_pass_beside_full_forward)
+        monkeypatch.setattr(model, "forward", recording_forward)
         vectors = collect_activations(model, tok, docs, 20, 12, seed=4)
-        assert len(from_full) == 2 * len(vectors)  # 20 sequences: chunks of 16 and 4
+        assert len(from_forward) == 2 * len(vectors)  # 20 sequences: chunks of 16 and 4
         for i, v in enumerate(vectors):
-            assert np.array_equal(v.counts, from_full[2 * i] + from_full[2 * i + 1])
+            assert np.array_equal(v.counts, from_forward[2 * i] + from_forward[2 * i + 1])
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_sequence_count_below_one_rejected_before_any_work(self, tiny_setup, n,

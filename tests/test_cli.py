@@ -70,6 +70,30 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "--" in out
 
+    @pytest.mark.parametrize("sub", ["train", "generate", "synth-corpus", "analyze-routing"])
+    def test_a_negative_seed_is_a_usage_error_that_names_it(self, workspace, tmp_path, capsys,
+                                                             sub):
+        common = ["--checkpoint", workspace["ckpt"], "--tokenizer", workspace["tok"]]
+        args = {
+            "train": ["--config", workspace["config"], "--corpus", workspace["corpus"],
+                      "--tokenizer", workspace["tok"], "--steps", "1", "--batch-size", "2",
+                      "--checkpoint-out", str(tmp_path / "m.ckpt"),
+                      "--log", str(tmp_path / "log.tsv")],
+            "generate": [*common, "--prompt", "ab", "--max-new-tokens", "1"],
+            "synth-corpus": ["--families", "2", "--langs-per-family", "2", "--docs-per-lang",
+                             "2", "--doc-len", "10", "--out", str(tmp_path / "c.jsonl"),
+                             "--truth", str(tmp_path / "t.tsv")],
+            "analyze-routing": [*common, "--corpus", workspace["corpus"],
+                                "--sequences-per-lang", "1", "--out-dir",
+                                str(tmp_path / "routing")],
+        }[sub]
+        assert main([sub, *args, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"moelab {sub}: error: argument --seed: must be an integer >= 0, got '-1'\n")
+        assert not any(tmp_path.iterdir())
+
     def test_runtime_failure_is_exit_one(self, tmp_path, capsys):
         assert main(["param-count", "--config", str(tmp_path / "missing.json")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -203,7 +227,8 @@ class TestRuntimeFailures:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("sub, flag", [("tokenizer-train", "--output"),
-                                           ("synth-corpus", "--out"), ("synth-corpus", "--truth")])
+                                           ("synth-corpus", "--out"), ("synth-corpus", "--truth"),
+                                           ("analyze-routing", "--out-dir")])
     def test_an_output_in_a_missing_directory_is_refused_before_any_work(
             self, workspace, tmp_path, capsys, monkeypatch, sub, flag):
         from moelab import cli
@@ -214,6 +239,7 @@ class TestRuntimeFailures:
         monkeypatch.setattr(cli.corpus_mod, "load_jsonl", no_work)
         monkeypatch.setattr(cli.corpus_mod, "synth_corpus", no_work)
         monkeypatch.setattr(cli.Tokenizer, "train", no_work)
+        monkeypatch.setattr(cli.trainer_mod, "load_checkpoint", no_work)
         args, outputs = {
             "tokenizer-train": (["--input", workspace["corpus"], "--vocab-size", "300"],
                                 {"--output": str(tmp_path / "tok.json")}),
@@ -221,14 +247,21 @@ class TestRuntimeFailures:
                               "2", "--doc-len", "10", "--seed", "1"],
                              {"--out": str(tmp_path / "c.jsonl"),
                               "--truth": str(tmp_path / "t.tsv")}),
+            "analyze-routing": (["--checkpoint", workspace["ckpt"], "--tokenizer",
+                                 workspace["tok"], "--corpus", workspace["corpus"],
+                                 "--sequences-per-lang", "1", "--seed", "2"],
+                                {"--out-dir": str(tmp_path / "routing")}),
         }[sub]
-        missing = tmp_path / "typo"
-        outputs[flag] = str(missing / "out")
+        if flag == "--out-dir":  # created when missing, so an existing file is what is refused
+            bad, problem = workspace["truth"], f"{workspace['truth']} is not a directory"
+        else:
+            missing = tmp_path / "typo"
+            bad, problem = str(missing / "out"), f"directory {missing} does not exist"
+        outputs[flag] = bad
         assert main([sub, *args, *(x for item in outputs.items() for x in item)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {flag} {missing / 'out'}: directory {missing} "
-                                "does not exist\n")
+        assert captured.err == f"error: {flag} {bad}: {problem}\n"
         assert not any(tmp_path.iterdir())
 
     def test_analyze_routing_of_one_language_writes_nothing(self, workspace, tmp_path,

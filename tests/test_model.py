@@ -173,23 +173,9 @@ class TestForward:
             singles = [model.forward(row).logits.data for row in batch]
         assert np.allclose(stacked, np.stack(singles), atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(16,), (3, 16)], ids=["1d", "batch"])
-    @pytest.mark.parametrize("config", [tiny_config(seed=8), desk_config(seed=3)],
-                             ids=["tiny", "desk"])
-    def test_routing_pass_routes_like_full_forward(self, config, shape):
-        model = Model(config)
-        ids = np.random.default_rng(5).integers(0, config.vocab_size, size=shape)
-        with no_grad():
-            full = model.forward(ids)
-            routed = model.forward(ids, logits=False)
-        assert routed.logits is None
-        assert len(routed.moe_stats) == len(full.moe_stats) == len(moe_layer_indices(config))
-        for a, b in zip(routed.moe_stats, full.moe_stats):
-            assert np.array_equal(a.selected, b.selected)
-            assert np.array_equal(a.token_fraction, b.token_fraction)
-            assert a.balance_loss == b.balance_loss
-
     def test_routing_pass_never_holds_a_logits_sized_array(self):
+        """The routing analysis's pass, a B=16 no-grad forward whose logits are
+        never read, builds no (positions x vocab_size) array."""
         config = desk_config(seed=1)
         model = Model(config)
         b, t = 16, config.max_seq_len
@@ -200,7 +186,7 @@ class TestForward:
         tracemalloc.start()
         try:
             with no_grad():
-                model.forward(ids, logits=False)
+                model.forward(ids)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
