@@ -182,6 +182,36 @@ class TestRuntimeFailures:
             assert captured.err.startswith("error: logits at position ")
             assert captured.err.endswith(" are not finite\n")
 
+    def test_perplexity_names_a_bad_document_that_is_not_first_in_its_forward(
+            self, workspace, monkeypatch, capsys):
+        from moelab import trainer
+        from moelab.corpus import load_jsonl
+        from moelab.tensor import Tensor
+        from moelab.tokenizer import Tokenizer
+        tok = Tokenizer.load(workspace["tok"])
+        config = json.loads(Path(workspace["config"]).read_text())
+        window = config["max_seq_len"]
+        docs, _ = load_jsonl(workspace["corpus"])
+        scored = [index for index, d in enumerate(docs) if d.lang == "ab"][:3]
+        # all three are cut to one window, so they share a forward as rows 0, 1 and 2
+        assert all(len(tok.encode(docs[index].text)) + 2 > window + 1 for index in scored)
+        real, calls = trainer.cross_entropy, []
+
+        def poisoned(x, weight, targets):
+            calls.append(x.shape)
+            out = real(x, weight, targets)
+            return Tensor(np.nan) if len(calls) == 3 else out
+
+        monkeypatch.setattr(trainer, "cross_entropy", poisoned)
+        assert main(["perplexity", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", workspace["corpus"],
+                     "--lang", "ab"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {workspace['corpus']}: document {scored[2]} (counting "
+                                "from 0, language 'ab') has non-finite loss nan\n")
+        assert calls == [(window, config["d_model"])] * 3  # one document each, none after
+
     @pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
     def test_generate_refuses_a_temperature_before_any_forward(self, workspace, capsys,
                                                                monkeypatch, temperature):
@@ -498,6 +528,67 @@ class TestPipeline:
         assert lines[0] == "lang\tperplexity\ttokens"
         assert lines[-1].startswith("overall\t")
         assert len(lines) == 2 + 4  # four languages plus header and overall
+
+    def test_batched_scores_equal_one_document_forwards(self, workspace, tmp_path,
+                                                          monkeypatch, capsys):
+        from moelab import trainer
+        from moelab.corpus import Document, load_jsonl, write_jsonl
+        from moelab.tensor import no_grad
+        from moelab.tokenizer import BOS_ID, EOS_ID, Tokenizer
+        tok = Tokenizer.load(workspace["tok"])
+        net, _ = load_checkpoint(workspace["ckpt"])
+        window = net.config.max_seq_len
+        docs, _ = load_jsonl(workspace["corpus"])
+        by_lang = {}
+        for d in docs:
+            if len(tok.encode(d.text)) + 2 > window + 1:
+                by_lang.setdefault(d.lang, []).append(d)
+        long = [d for group in zip(*by_lang.values()) for d in group]  # languages alternate
+        short = [Document("aa", long[0].text[:6]), Document("bb", long[1].text[:20])]
+        corpus = long[:9] + short + long[9:12]
+        ids = [([BOS_ID] + tok.encode(d.text) + [EOS_ID])[:window + 1] for d in corpus]
+        assert len(ids[9]) != len(ids[10]) and max(len(ids[9]), len(ids[10])) < window + 1
+        path = tmp_path / "mixed.jsonl"
+        write_jsonl(corpus, str(path))
+
+        reference = []
+        with no_grad():
+            for row in ids:
+                arr = np.asarray(row)
+                reference.append(trainer.total_loss(net.forward(arr[:-1]), arr[1:], 0.0).lm_loss)
+        nll, count = {}, {}
+        for d, row, loss in zip(corpus, ids, reference):
+            nll[d.lang] = nll.get(d.lang, 0.0) + loss * (len(row) - 1)
+            count[d.lang] = count.get(d.lang, 0) + len(row) - 1
+        table = ["lang\tperplexity\ttokens"]
+        table += [f"{lang}\t{np.exp(nll[lang] / count[lang]):.4f}\t{count[lang]}"
+                  for lang in sorted(nll)]
+        total = sum(count.values())
+        table.append(f"overall\t{np.exp(sum(nll.values()) / total):.4f}\t{total}")
+
+        batches, scored = [], []
+        real_forward, real_loss = Model.forward, trainer.total_loss
+
+        def forward(self, tokens, cache=None):
+            batches.append(np.shape(tokens))
+            return real_forward(self, tokens, cache)
+
+        def total_loss(output, targets, alpha):
+            breakdown = real_loss(output, targets, alpha)
+            scored.append((output.hidden.shape, breakdown.lm_loss))
+            return breakdown
+
+        monkeypatch.setattr(Model, "forward", forward)
+        monkeypatch.setattr(trainer, "total_loss", total_loss)
+        assert main(["perplexity", "--checkpoint", workspace["ckpt"],
+                     "--tokenizer", workspace["tok"], "--corpus", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == table
+        assert batches == [(4, window), (4, window), (1, window), (1, len(ids[9]) - 1),
+                           (1, len(ids[10]) - 1), (3, window)]
+        assert [shape for shape, _ in scored] == [(len(row) - 1, net.config.d_model)
+                                                  for row in ids]
+        for (_, loss), expected in zip(scored, reference):
+            assert loss == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_perplexity_reports_truncation_on_stderr(self, workspace, tmp_path, capsys):
         from moelab.corpus import Document, load_jsonl, write_jsonl
