@@ -14,20 +14,20 @@ CLIP_NORM = 1.0  # global gradient-norm bound applied before every Adam step
 
 
 class AdamState:
-    """First/second moment estimates plus step counter for a set of named parameters."""
+    """First/second moment estimates for a set of named parameters; adam_step takes the step."""
 
     def __init__(self, params: dict[str, Tensor]):
-        self.step = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """One bias-corrected Adam update in place; missing gradients count as zero.
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float, step: int) -> None:
+    """Adam update in place for the caller's step (0 first); missing gradients count as zero.
 
-    Names and shapes of both moments and of every gradient are checked before
-    anything is written, so a mismatch raises ShapeError naming the first one
-    and leaves parameters, moments and state.step as they were.
+    The bias correction is 1 - beta ** t for t = step + 1. Names and shapes of
+    both moments and of every gradient are checked before anything is
+    written, so a mismatch raises ShapeError naming the first one and leaves
+    parameters and moments as they were.
     """
     for kind, moments in (("m", state.m), ("v", state.v)):
         missing = next((name for name in params if name not in moments), None)
@@ -43,8 +43,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
             if arr is not None and arr.shape != p.data.shape:
                 raise ShapeError(f"{what} shape {arr.shape} does not match parameter "
                                  f"{name!r} {p.data.shape}")
-    state.step += 1
-    t = state.step
+    t = step + 1
     c1 = 1.0 - BETA1 ** t
     c2 = 1.0 - BETA2 ** t
     for name, p in params.items():

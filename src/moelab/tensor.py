@@ -431,9 +431,12 @@ def check_ids(ids, bound: int, noun: str) -> np.ndarray:
     ValueError otherwise, in the words of `noun`: a non-integer dtype names
     what position 0 holds; an id out of range, a Python int too wide for 64
     bits included, names the first one by its position, an index for a
-    sequence and an index tuple for a batch.
+    sequence and an index tuple for a batch. Empty input holds no bad id and
+    comes back as an int64 array of its shape.
     """
     ids = np.asarray(ids)
+    if ids.size == 0:
+        return np.zeros(ids.shape, np.int64)
     wide = ids.dtype == object and all(  # numpy keeps ints past 64 bits as objects
         isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids.flat)
     if ids.dtype.kind not in "iu" and not wide:

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import FormatError
 from .fileio import atomic_write_text
+from .tensor import check_ids
 
 PAD_ID = 256
 BOS_ID = 257
@@ -134,13 +135,12 @@ class Tokenizer:
         return list(map(ord, s))
 
     def decode(self, ids: Sequence[int]) -> str:
-        """Concatenate token bytes and decode UTF-8; invalid sequences become U+FFFD."""
-        chunks = []
-        for pos, i in enumerate(ids):
-            if not 0 <= i < len(self.vocab):
-                raise ValueError(f"token id {i} at position {pos} outside [0, {len(self.vocab)})")
-            chunks.append(self.vocab[i])
-        return b"".join(chunks).decode("utf-8", errors="replace")
+        """Concatenate token bytes and decode UTF-8; invalid sequences become U+FFFD.
+
+        check_ids vets every id first: a bad one raises ValueError naming its position.
+        """
+        ids = check_ids(ids, self.vocab_size, "token id")
+        return b"".join([self.vocab[i] for i in ids.tolist()]).decode("utf-8", errors="replace")
 
     # -- persistence -----------------------------------------------------------
 

@@ -25,6 +25,7 @@ from .tensor import Tensor, cross_entropy
 LOG_HEADER = "step\tlm_loss\tmoe_loss\ttotal_loss\tlr\ttokens_seen"
 WARMUP_FRAC = 0.01  # share of a run's steps spent warming the learning rate up
 FLOOR_FRAC = 0.1  # the learning rate the cosine decays to, as a share of the peak
+_STATE_FIELDS = ("step", "seed", "tokens_seen")  # a checkpoint's trainer state, all ints >= 0
 
 
 @dataclass
@@ -165,7 +166,7 @@ class Trainer:
             raise FloatingPointError(f"step {step}: gradient norm is {norm}"
                                      + (f", first non-finite gradient in {bad!r}" if bad else ""))
         lr = lr_at_step(step, self.schedule)
-        adam_step(self.params, self.adam, lr=lr)
+        adam_step(self.params, self.adam, lr=lr, step=step)
         self.model.zero_grad()
         self.step += 1
         self.tokens_seen += batch.shape[0] * (batch.shape[1] - 1)
@@ -189,28 +190,25 @@ class Trainer:
         if state is None:
             raise FormatError(f"{path}: checkpoint carries no trainer state to resume from")
         trainer = cls(model, docs, tokenizer, schedule, batch_size, seed=state["seed"],
-                      adam=state["adam"])
-        trainer.step = state["step"]
-        trainer.tokens_seen = state["tokens_seen"]
+                      adam=state["moments"])
+        trainer.step, trainer.tokens_seen = state["step"], state["tokens_seen"]
         return trainer
 
 
 def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> None:
-    """Write config + parameters (and, when given, optimizer state) to `path`.
+    """Write config + parameters (and, when given, the trainer's state) to `path`.
 
-    A non-finite value in any tensor raises FloatingPointError naming the
-    first such tensor before anything is written, so a file already at
-    `path` stays as it was.
+    The trainer's state is its step, seed and tokens_seen in the header and
+    its Adam moments as tensors. A trainer of another model (ValueError) and
+    a non-finite value in any tensor (FloatingPointError naming the first)
+    raise before anything is written, so a file at `path` stays as it was.
     """
     header: dict = {"model": asdict(model.config), "state": None}
     tensors = {name: p.data for name, p in model.named_parameters().items()}
     if trainer is not None:
-        header["state"] = {
-            "step": trainer.step,
-            "seed": trainer.seed,
-            "tokens_seen": trainer.tokens_seen,
-            "adam": {"step": trainer.adam.step},
-        }
+        if trainer.model is not model:
+            raise ValueError(f"{path}: the trainer trains another model; no checkpoint written")
+        header["state"] = {field: getattr(trainer, field) for field in _STATE_FIELDS}
         for name in trainer.params:
             tensors[f"adam.m.{name}"] = trainer.adam.m[name]
             tensors[f"adam.v.{name}"] = trainer.adam.v[name]
@@ -224,12 +222,13 @@ def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> 
 def load_checkpoint(path: str) -> tuple[Model, dict | None]:
     """Build the model from the stored parameters (bitwise, no init draw) plus any trainer state.
 
-    The state is None for a weights-only file, else the header's state with
-    "adam" holding the AdamState (moments and step) to continue from. The
+    The state is None for a weights-only file, else the header's step, seed
+    and tokens_seen plus "moments", the AdamState to continue from. The
     arrays read from the file become the parameters and Adam moments
     themselves, so a float64 checkpoint is held once in memory. A trainer
-    state must be an object whose step, seed, tokens_seen and adam.step are
-    non-negative integers; anything else raises FormatError naming the field.
+    state must be an object whose step, seed and tokens_seen are non-negative
+    integers; anything else raises FormatError naming the field, and any
+    other key (the "adam" object of older files, say) is ignored.
     Every tensor must be a parameter of the model the header describes or,
     when the header has a trainer state, one of its Adam moments; the first
     tensor that is neither, and the first moment whose shape is not its
@@ -258,8 +257,7 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
                           "header describes nor an Adam moment of its trainer state"
                           + ("" if state is not None else " (the header has none)"))
     if state is not None:
-        adam = AdamState({})  # allocates nothing; the loaded moments and step become its state
-        adam.step = state["adam"]["step"]
+        adam = AdamState({})  # allocates nothing; the loaded moments become its state
         for name in model.named_parameters():
             for kind, moments in (("m", adam.m), ("v", adam.v)):
                 key = f"adam.{kind}.{name}"
@@ -269,20 +267,16 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None]:
                     raise FormatError(f"{path}: optimizer tensor {key!r} has shape "
                                       f"{tensors[key].shape}, expected {tensors[name].shape}")
                 moments[name] = np.require(tensors[key], np.float64, "CAW")
-        state = {**state, "adam": adam}
+        state = {**{field: state[field] for field in _STATE_FIELDS}, "moments": adam}
     return model, state
 
 
 def _check_state(path: str, state) -> None:
+    """FormatError naming the first of _STATE_FIELDS that is not a non-negative int."""
     if not isinstance(state, dict):
         raise FormatError(f"{path}: checkpoint state must be an object, got {state!r}")
-    adam = state.get("adam")
-    if not isinstance(adam, dict):
-        raise FormatError(f"{path}: checkpoint state field 'adam' must be an object, "
-                          f"got {adam!r}")
-    for field, value in (("step", state.get("step")), ("seed", state.get("seed")),
-                         ("tokens_seen", state.get("tokens_seen")),
-                         ("adam.step", adam.get("step"))):
+    for field in _STATE_FIELDS:
+        value = state.get(field)
         if type(value) is not int or value < 0:
             raise FormatError(f"{path}: checkpoint state field {field!r} must be a "
                               f"non-negative integer, got {value!r}")

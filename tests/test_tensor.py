@@ -13,8 +13,9 @@ from moelab.errors import GraphConsumedError, ShapeError
 from moelab.model import Model, attention, desk_config, generate
 from moelab.optim import CLIP_NORM, AdamState, adam_step, clip_global_norm
 from moelab.moe import combine
-from moelab.tensor import (LN_EPS, Tensor, cross_entropy, embedding, feed_forward, grad_check,
-                           layer_norm, linear, no_grad, softmax)
+from moelab.optim import BETA1, BETA2, EPS
+from moelab.tensor import (LN_EPS, Tensor, check_ids, cross_entropy, embedding, feed_forward,
+                           grad_check, layer_norm, linear, no_grad, softmax)
 from moelab.tokenizer import Tokenizer
 from moelab.trainer import total_loss
 
@@ -377,6 +378,12 @@ class TestCrossEntropy:
 def test_an_id_outside_its_table_is_named_by_noun_position_and_bound(lookup, ids, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lookup(ids)
+
+
+@pytest.mark.parametrize("ids", [[], [[]]], ids=["sequence", "batch"])
+def test_empty_ids_hold_no_bad_id_and_come_back_as_int64(ids):
+    checked = check_ids(ids, 5, "token id")
+    assert checked.dtype == np.int64 and checked.shape == np.shape(ids)
 
 
 class TestBackward:
@@ -782,16 +789,15 @@ class TestAdam:
         params = self._params([[1.0, -2.0]])
         params["p0"].grad = np.zeros(2)
         state = AdamState(params)
-        adam_step(params, state, lr=0.1)
+        adam_step(params, state, lr=0.1, step=0)
         assert np.array_equal(params["p0"].data, [1.0, -2.0])
-        assert state.step == 1
 
     def test_first_step_moves_by_lr_sign(self):
         # with bias correction, step 1 update is exactly -lr * g / (|g| + eps')
         params = self._params([[1.0, 1.0]])
         params["p0"].grad = np.array([0.5, -3.0])
         state = AdamState(params)
-        adam_step(params, state, lr=0.01)
+        adam_step(params, state, lr=0.01, step=0)
         moved = params["p0"].data - 1.0
         assert np.all(np.abs(moved - (-0.01 * np.sign([0.5, -3.0]))) < 0.01 * 1e-6)
 
@@ -800,7 +806,7 @@ class TestAdam:
         params["p0"].grad = np.array([0.7])
         params["p1"].grad = np.array([0.7])
         state = AdamState(params)
-        adam_step(params, state, lr=0.05)
+        adam_step(params, state, lr=0.05, step=0)
         assert params["p0"].data[0] == params["p1"].data[0]
 
     def test_bitwise_deterministic(self):
@@ -809,25 +815,32 @@ class TestAdam:
             params = self._params([np.linspace(-1, 1, 7)])
             params["p0"].grad = np.sin(np.arange(7.0))
             state = AdamState(params)
-            for _ in range(5):
-                adam_step(params, state, lr=0.003)
+            for step in range(5):
+                adam_step(params, state, lr=0.003, step=step)
             results.append(params["p0"].data.copy())
         assert np.array_equal(results[0], results[1])
 
-    def test_step_counter_increments_by_one(self):
-        params = self._params([[0.0]])
+    @pytest.mark.parametrize("step", [0, 1, 2, 999])
+    def test_step_k_applies_the_bias_correction_for_t_k_plus_one(self, step):
+        """From zero moments, m = (1 - beta1) g and v = (1 - beta2) g^2; the
+        update divides them by 1 - beta ** (step + 1), bit for bit."""
+        g = np.array([0.5, -3.0, 1e-3])
+        params = self._params([[1.0, 1.0, 1.0]])
+        params["p0"].grad = g.copy()
         state = AdamState(params)
-        for expected in (1, 2, 3):
-            params["p0"].grad = np.array([1.0])
-            adam_step(params, state, lr=0.1)
-            assert state.step == expected
+        adam_step(params, state, lr=0.01, step=step)
+        m, v = (1.0 - BETA1) * g, (1.0 - BETA2) * (g * g)
+        t = step + 1
+        expected = 1.0 - 0.01 * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
+        assert np.array_equal(params["p0"].data, expected)
+        assert np.array_equal(state.m["p0"], m) and np.array_equal(state.v["p0"], v)
 
     def test_shape_mismatch_rejected(self):
         params = self._params([[1.0, 2.0]])
         state = AdamState(params)
         params["p0"].grad = np.zeros(3)
         with pytest.raises(ShapeError):
-            adam_step(params, state, lr=0.1)
+            adam_step(params, state, lr=0.1, step=0)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda params, state: state.m.update(p2=np.zeros(3)),
@@ -846,14 +859,13 @@ class TestAdam:
         for p in params.values():
             p.grad = np.array([0.5, -2.0])
         state = AdamState(params)
-        adam_step(params, state, lr=0.1)  # non-zero moments, so "unchanged" is a real check
+        adam_step(params, state, lr=0.1, step=0)  # non-zero moments, so "unchanged" is a real check
         edit(params, state)
         before = ({n: p.data.copy() for n, p in params.items()},
                   {n: a.copy() for n, a in state.m.items()},
                   {n: a.copy() for n, a in state.v.items()})
         with pytest.raises(ShapeError, match=re.escape(message)):
-            adam_step(params, state, lr=0.1)
-        assert state.step == 1
+            adam_step(params, state, lr=0.1, step=1)
         for old, new in zip(before, ({n: p.data for n, p in params.items()}, state.m, state.v)):
             assert old.keys() == new.keys()
             assert all(np.array_equal(old[n], new[n]) for n in old)

@@ -97,6 +97,13 @@ def test_decode_rejects_out_of_range():
         tok.decode([tok.vocab_size])
 
 
+def test_decode_names_a_non_integer_id_by_position():
+    """decode checks its ids with check_ids, so a float is a ValueError naming
+    its position, not a TypeError from list indexing."""
+    with pytest.raises(ValueError, match="^token ids must be integers, got float64: position 0 "):
+        Tokenizer().decode([1.0])
+
+
 def test_all_byte_tokens_present():
     tok = Tokenizer.train(["xy"], vocab_size=300)
     for i in range(256):

@@ -281,7 +281,7 @@ class TestNonFinite:
     def _snapshot(tr):
         return ([p.data.copy() for p in tr.params.values()],
                 [m.copy() for m in tr.adam.m.values()], [v.copy() for v in tr.adam.v.values()],
-                tr.adam.step, tr.step, tr.tokens_seen)
+                tr.step, tr.tokens_seen)
 
     def _assert_unchanged(self, tr, before):
         after = self._snapshot(tr)
@@ -456,11 +456,52 @@ class TestCheckpoint:
         tr.run(2)
         path = str(tmp_path / "adam.ckpt")
         save_checkpoint(tr.model, path, tr)
-        self._rewrite(path, lambda header, tensors: header["state"]["adam"].update(
-            lr=2e-3, beta1=0.9, beta2=0.999, eps=1e-8))
+        self._rewrite(path, lambda header, tensors: header["state"].update(adam=dict(
+            step=2, lr=2e-3, beta1=0.9, beta2=0.999, eps=1e-8)))
         resumed = Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2)
-        assert resumed.adam.step == 2
         assert [r.total_loss for r in resumed.run(1)] == [r.total_loss for r in tr.run(1)]
+
+    def test_adam_takes_the_step_being_taken_across_a_resume(self, tmp_path, word_tokenizer,
+                                                             monkeypatch):
+        steps = []
+        real_adam_step = trainer_mod.adam_step
+
+        def recording_adam_step(params, state, lr, step):
+            steps.append(step)
+            real_adam_step(params, state, lr, step)
+
+        monkeypatch.setattr(trainer_mod, "adam_step", recording_adam_step)
+        docs, sched = word_docs(seed=3), LrSchedule.for_total_steps(2e-3, 10)
+        tr = Trainer(Model(tiny_config(seed=34)), docs, word_tokenizer, sched,
+                     batch_size=2, seed=34)
+        tr.run(2)
+        path = str(tmp_path / "steps.ckpt")
+        save_checkpoint(tr.model, path, tr)
+        Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2).run(2)
+        assert steps == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("adam_step", [3, 1, "three"], ids=["agrees", "stale", "not_an_int"])
+    def test_old_layout_adam_step_is_ignored_on_resume(self, tmp_path, word_tokenizer, adam_step):
+        """Files that still carry the header's old "adam": {"step": k} resume
+        from the trainer's step alone, whatever k holds. While Adam kept its
+        own step, k = 1 after 3 steps here made the second resumed loss read
+        6.0934 where the unbroken run read 6.1076."""
+        docs = word_docs(seed=3)
+        sched = LrSchedule.for_total_steps(2e-3, 10)
+        full = Trainer(Model(tiny_config(seed=31)), docs, word_tokenizer, sched,
+                       batch_size=2, seed=31)
+        full_rows = full.run(5)
+        part = Trainer(Model(tiny_config(seed=31)), docs, word_tokenizer, sched,
+                       batch_size=2, seed=31)
+        part.run(3)
+        path = str(tmp_path / "old.ckpt")
+        save_checkpoint(part.model, path, part)
+        self._rewrite(path, lambda header, tensors: header["state"].update(
+            adam={"step": adam_step}))
+        resumed = Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2)
+        assert [r.total_loss for r in resumed.run(2)] == [r.total_loss for r in full_rows[3:]]
+        for name, p in full.params.items():
+            assert np.array_equal(p.data, resumed.params[name].data), name
 
     @pytest.mark.parametrize("key", ["adam.m.lnf.bias", "adam.v.layers.0.attn.wk"],
                              ids=["m", "v"])
