@@ -165,7 +165,7 @@ def cmd_train(args) -> int:
                                   batch_size=args.batch_size, seed=args.seed)
     rows = trainer.run(args.steps)
     trainer_mod.write_log_tsv(rows, args.log)
-    trainer_mod.save_checkpoint(trainer.model, args.checkpoint_out, trainer)
+    trainer_mod.save_checkpoint(trainer, args.checkpoint_out)
     last = rows[-1]
     print(f"step {last.step}: lm_loss={last.lm_loss:.4f} moe_loss={last.moe_loss:.4f} "
           f"total={last.total_loss:.4f}")

@@ -312,7 +312,7 @@ class Model:
             held = f"cache length {s} + " if cache is not None else ""
             raise ValueError(f"{held}sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
 
-        x = embedding(self.tok_emb, ids)  # checks every id, named by its position in `tokens`
+        x = embedding(self.tok_emb, tokens)  # checks each id as the caller passed it
         if squeeze:
             x = x.reshape(1, t, d)
         x = x + self.pos_emb[s:s + t]
@@ -391,8 +391,8 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
              seed: int = 0) -> list[int]:
     """Autoregressive sampling; temperature 0 is greedy argmax.
 
-    The prompt must be a non-empty sequence of integer ids in [0, vocab_size);
-    otherwise ValueError names the first bad position, before any forward.
+    The prompt must be one non-empty sequence of ids that check_ids accepts;
+    otherwise ValueError names the first bad position or the shape, before any forward.
     One forward over all prompt ids but the last fills a KVCache, reading no
     logits; each step then feeds one token (the last prompt id, then the
     token just chosen) and projects only its row onto the vocabulary. Every
@@ -403,13 +403,11 @@ def generate(model: Model, prompt_ids, max_new_tokens: int, temperature: float =
     temperature so small that logits / temperature overflows raises
     ValueError naming it before that token is drawn.
     """
-    ids = list(prompt_ids)
-    for i, x in enumerate(ids):
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
-            raise ValueError(f"prompt id at position {i} is not an integer: {x!r}")
-    if not ids:
+    step = check_ids(prompt_ids, model.config.vocab_size, "prompt id")
+    if step.ndim != 1:
+        raise ValueError(f"a prompt is one sequence of ids, got shape {step.shape}")
+    if not step.size:
         raise ValueError("empty prompt")
-    step = check_ids([int(x) for x in ids], model.config.vocab_size, "prompt id")
     ids = step.tolist()
     if max_new_tokens < 0:
         raise ValueError(f"max_new_tokens must be non-negative, got {max_new_tokens}")

@@ -392,14 +392,13 @@ def cross_entropy(x: Tensor, weight: Tensor, targets) -> Tensor:
     then gx = G @ weight and gweight = (x2^T @ G)^T, with x2 the rows of x. So
     the op holds one logits-sized array, and no logits outlive it.
     """
-    targets = np.asarray(targets)
     shape, w = x.data.shape, weight.data
     if not shape or w.ndim != 2 or shape[-1] != w.shape[1]:
         raise ShapeError(f"cross_entropy needs x (..., d) and weight (V, d), "
                          f"got {shape} and {w.shape}")
-    if targets.shape != shape[:-1]:
-        raise ShapeError(f"targets shape {targets.shape} does not align with x {shape}")
-    if targets.size == 0:
+    if np.shape(targets) != shape[:-1]:
+        raise ShapeError(f"targets shape {np.shape(targets)} does not align with x {shape}")
+    if not math.prod(shape[:-1]):
         raise ValueError("cross_entropy needs at least one target")
     targets = check_ids(targets, w.shape[0], "target").reshape(-1)
     n = targets.size
@@ -426,32 +425,29 @@ def cross_entropy(x: Tensor, weight: Tensor, targets) -> Tensor:
 
 
 def check_ids(ids, bound: int, noun: str) -> np.ndarray:
-    """`ids` as an integer array whose every entry lies in [0, bound).
+    """`ids` as an int64 array whose every entry is an integer in [0, bound).
 
-    ValueError otherwise, in the words of `noun`: a non-integer dtype names
-    what position 0 holds; an id out of range, a Python int too wide for 64
-    bits included, names the first one by its position, an index for a
-    sequence and an index tuple for a batch. Empty input holds no bad id and
-    comes back as an int64 array of its shape.
+    Anything but an integer ndarray is walked element by element before numpy
+    can cast it, so a bool, a float or any other non-int is refused as it
+    stands. ValueError names the first bad id, in the words of `noun`, by its
+    position: an index for a sequence and an index tuple for a batch.
     """
-    ids = np.asarray(ids)
-    if ids.size == 0:
-        return np.zeros(ids.shape, np.int64)
-    wide = ids.dtype == object and all(  # numpy keeps ints past 64 bits as objects
-        isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in ids.flat)
-    if ids.dtype.kind not in "iu" and not wide:
-        raise ValueError(f"{noun}s must be integers, got {ids.dtype}: "
-                         f"position 0 holds {ids.flat[0]!r}")
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        ids = np.asarray(ids, dtype=object)
+        for pos, x in np.ndenumerate(ids):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"{noun} at position {pos[0] if ids.ndim == 1 else pos} "
+                                 f"is not an integer: {x!r}")
     bad = (ids < 0) | (ids >= bound)
     if bad.any():
         pos = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"{noun} {ids[pos]} at position {pos[0] if ids.ndim == 1 else pos} "
                          f"outside [0, {bound})")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
-    """Row lookup weight[ids], with every id checked against the table size."""
+    """Row lookup weight[ids], with check_ids vetting `ids` as the caller passed them."""
     return weight[check_ids(ids, weight.data.shape[0], "token id")]
 
 

@@ -195,19 +195,19 @@ class Trainer:
         return trainer
 
 
-def save_checkpoint(model: Model, path: str, trainer: Trainer | None = None) -> None:
-    """Write config + parameters (and, when given, the trainer's state) to `path`.
+def save_checkpoint(source: Model | Trainer, path: str) -> None:
+    """Write a Model's config + parameters to `path`; a Trainer's adds its state.
 
-    The trainer's state is its step, seed and tokens_seen in the header and
-    its Adam moments as tensors. A trainer of another model (ValueError) and
-    a non-finite value in any tensor (FloatingPointError naming the first)
-    raise before anything is written, so a file at `path` stays as it was.
+    The state is the trainer's step, seed and tokens_seen in the header and
+    its Adam moments as tensors. A non-finite value in any tensor raises
+    FloatingPointError naming the first before anything is written, so a
+    file at `path` stays as it was.
     """
+    trainer = source if isinstance(source, Trainer) else None
+    model = source if trainer is None else trainer.model
     header: dict = {"model": asdict(model.config), "state": None}
     tensors = {name: p.data for name, p in model.named_parameters().items()}
     if trainer is not None:
-        if trainer.model is not model:
-            raise ValueError(f"{path}: the trainer trains another model; no checkpoint written")
         header["state"] = {field: getattr(trainer, field) for field in _STATE_FIELDS}
         for name in trainer.params:
             tensors[f"adam.m.{name}"] = trainer.adam.m[name]

@@ -173,20 +173,7 @@ def test_non_finite_tensor_writes_nothing(tmp_path, poisoned, named):
     path.write_bytes(TINY)
     with pytest.raises(FloatingPointError,
                        match=f"^{path}: tensor '{named}' holds a non-finite value;"):
-        save_checkpoint(model, str(path), trainer)
-    assert path.read_bytes() == TINY
-    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
-
-
-def test_trainer_of_another_model_writes_nothing(tmp_path):
-    """The weights would come from one model and the moments and step from a
-    trainer of another; the pairing is refused before the file is touched."""
-    schedule = LrSchedule.for_total_steps(1e-3, 10)
-    trainer = Trainer(Model(desk_config(**TINY_CONFIG)), [], None, schedule, batch_size=1, seed=0)
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(TINY)
-    with pytest.raises(ValueError, match=f"^{path}: the trainer trains another model; "):
-        save_checkpoint(Model(desk_config(**TINY_CONFIG)), str(path), trainer)
+        save_checkpoint(trainer, str(path))
     assert path.read_bytes() == TINY
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
@@ -196,7 +183,7 @@ def test_trainer_state_in_the_header_is_step_seed_and_tokens_seen(tmp_path):
     trainer = Trainer(model, [], None, LrSchedule.for_total_steps(1e-3, 10), batch_size=1, seed=4)
     trainer.step, trainer.tokens_seen = 3, 24
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(model, path, trainer)
+    save_checkpoint(trainer, path)
     header, _ = read_checkpoint(path)
     assert header["state"] == {"step": 3, "seed": 4, "tokens_seen": 24}
     _, state = load_checkpoint(path)
@@ -227,7 +214,7 @@ class TestMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            save_checkpoint(model, path, trainer)
+            save_checkpoint(model if trainer is None else trainer, path)
             save_extra = tracemalloc.get_traced_memory()[1] - before
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -245,7 +232,7 @@ class TestMemory:
     def test_resume_holds_the_moments_once(self, tmp_path, model):
         schedule = LrSchedule.for_total_steps(1e-3, 10)
         path = str(tmp_path / "r.ckpt")
-        save_checkpoint(model, path, Trainer(model, [], None, schedule, batch_size=1, seed=0))
+        save_checkpoint(Trainer(model, [], None, schedule, batch_size=1, seed=0), path)
         peaks = []
         for load in (lambda: load_checkpoint(path),
                      lambda: Trainer.resume(path, [], None, schedule, batch_size=1)):

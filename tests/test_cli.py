@@ -711,7 +711,7 @@ assert main(["train", "--config", config, "--corpus", corpus, "--tokenizer", tok
 assert main(["analyze-routing", "--checkpoint", ckpt, "--tokenizer", tok, "--corpus", corpus,
              "--sequences-per-lang", "3", "--seed", "2", "--out-dir", out_dir]) == 0
 resumed = Trainer.resume(ckpt, [], None, LrSchedule.for_total_steps(1e-3, 3), batch_size=2)
-save_checkpoint(resumed.model, resaved, resumed)
+save_checkpoint(resumed, resaved)
 """
 
 

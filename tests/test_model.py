@@ -212,7 +212,7 @@ class TestForward:
 
     def test_non_integer_tokens_rejected(self):
         model = Model(tiny_config())
-        with pytest.raises(ValueError, match="must be integers, got float64: position 0 holds"):
+        with pytest.raises(ValueError, match="^token id at position 0 is not an integer: 2.7$"):
             model.forward(np.array([2.7, 3.2]))
 
 
@@ -292,6 +292,17 @@ class TestGenerate:
         monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ValueError, match=message):
             generate(model, prompt, new_tokens)
+        assert calls == []
+
+    @pytest.mark.parametrize("prompt, shape", [([[1, 2]], r"\(1, 2\)"), (5, r"\(\)")],
+                             ids=["nested", "scalar"])
+    def test_prompt_that_is_not_one_sequence_named_by_its_shape(self, prompt, shape, monkeypatch):
+        model = Model(tiny_config())
+        calls = []
+        monkeypatch.setattr(Model, "forward", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError,
+                           match=f"^a prompt is one sequence of ids, got shape {shape}$"):
+            generate(model, prompt, 2)
         assert calls == []
 
     def test_temperature_too_small_for_the_logits_named_before_the_draw(self, monkeypatch):

@@ -288,8 +288,8 @@ class TestCrossEntropy:
 
     @pytest.mark.parametrize("targets", [[1.7, 2.9], [True, False]], ids=["float", "bool"])
     def test_non_integer_targets_rejected(self, targets):
-        with pytest.raises(ValueError, match=f"targets must be integers, got "
-                                             f"{np.asarray(targets).dtype}: position 0 holds"):
+        with pytest.raises(ValueError,
+                           match=f"^target at position 0 is not an integer: {targets[0]!r}$"):
             logits_loss(np.zeros((2, 4)), targets)
 
     def test_no_targets_rejected(self):
@@ -378,6 +378,37 @@ class TestCrossEntropy:
 def test_an_id_outside_its_table_is_named_by_noun_position_and_bound(lookup, ids, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lookup(ids)
+
+
+ID_MODEL = Model(desk_config(n_layers=2, d_model=16, n_heads=2, max_seq_len=8,
+                              vocab_size=128, n_experts=2))
+ID_CALLERS = {  # each caller of check_ids: (call, noun, bound)
+    "forward": (ID_MODEL.forward, "token id", 128),
+    "cross_entropy": (lambda ids: logits_loss(np.zeros(np.shape(ids) + (128,)), ids),
+                      "target", 128),
+    "decode": (Tokenizer().decode, "token id", 259),
+    "generate": (lambda ids: generate(ID_MODEL, ids, 2), "prompt id", 128),
+}
+
+MALFORMED_IDS = {  # case: (ids, message after the caller's noun)
+    "float": ([104, 1.5], "at position 1 is not an integer: 1.5"),
+    "bool": ([1, True], "at position 1 is not an integer: True"),
+    "wide": ([5, 2**70], "1180591620717411303424 at position 1 outside [0, {bound})"),
+    "batch_float": ([[1, 2], [3, 2.5]], "at position (1, 1) is not an integer: 2.5"),
+}
+
+
+@pytest.mark.parametrize("caller, case", [
+    (caller, case) for caller in ID_CALLERS for case in MALFORMED_IDS
+    if case != "batch_float" or caller in ("forward", "cross_entropy")])
+def test_every_caller_refuses_a_malformed_id_in_the_same_words(caller, case):
+    """The ids reach check_ids as the caller passed them, so numpy never casts
+    the list as a whole: True is not id 1, and the float is named where it is."""
+    call, noun, bound = ID_CALLERS[caller]
+    ids, message = MALFORMED_IDS[case]
+    expected = f"{noun} {message.format(bound=bound)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        call(ids)
 
 
 @pytest.mark.parametrize("ids", [[], [[]]], ids=["sequence", "batch"])

@@ -100,7 +100,7 @@ def test_decode_rejects_out_of_range():
 def test_decode_names_a_non_integer_id_by_position():
     """decode checks its ids with check_ids, so a float is a ValueError naming
     its position, not a TypeError from list indexing."""
-    with pytest.raises(ValueError, match="^token ids must be integers, got float64: position 0 "):
+    with pytest.raises(ValueError, match="^token id at position 0 is not an integer: 1.0$"):
         Tokenizer().decode([1.0])
 
 

@@ -455,7 +455,7 @@ class TestCheckpoint:
                      batch_size=2, seed=32)
         tr.run(2)
         path = str(tmp_path / "adam.ckpt")
-        save_checkpoint(tr.model, path, tr)
+        save_checkpoint(tr, path)
         self._rewrite(path, lambda header, tensors: header["state"].update(adam=dict(
             step=2, lr=2e-3, beta1=0.9, beta2=0.999, eps=1e-8)))
         resumed = Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2)
@@ -476,7 +476,7 @@ class TestCheckpoint:
                      batch_size=2, seed=34)
         tr.run(2)
         path = str(tmp_path / "steps.ckpt")
-        save_checkpoint(tr.model, path, tr)
+        save_checkpoint(tr, path)
         Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2).run(2)
         assert steps == [0, 1, 2, 3]
 
@@ -495,7 +495,7 @@ class TestCheckpoint:
                        batch_size=2, seed=31)
         part.run(3)
         path = str(tmp_path / "old.ckpt")
-        save_checkpoint(part.model, path, part)
+        save_checkpoint(part, path)
         self._rewrite(path, lambda header, tensors: header["state"].update(
             adam={"step": adam_step}))
         resumed = Trainer.resume(path, docs, word_tokenizer, sched, batch_size=2)
@@ -510,7 +510,7 @@ class TestCheckpoint:
                      LrSchedule.for_total_steps(1e-3, 10), batch_size=2, seed=33)
         tr.run(2)
         path = str(tmp_path / "moment.ckpt")
-        save_checkpoint(tr.model, path, tr)
+        save_checkpoint(tr, path)
         self._rewrite(path, lambda header, tensors: tensors.update({key: np.zeros(3)}))
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
@@ -530,7 +530,7 @@ class TestCheckpoint:
         part = Trainer(model_b, docs, word_tokenizer, sched, batch_size=2, seed=31)
         part.run(3)
         ckpt = str(tmp_path / "resume.ckpt")
-        save_checkpoint(part.model, ckpt, part)
+        save_checkpoint(part, ckpt)
 
         resumed = Trainer.resume(ckpt, docs, word_tokenizer, sched, batch_size=2)
         tail = resumed.run(2)
