@@ -22,7 +22,7 @@ from .errors import FormatError, ShapeError
 from .fileio import atomic_write_text
 from .tensor import no_grad
 
-CHUNK = 16  # sequences per no-grad forward pass in collect_activations
+CHUNK = 4  # sequences per no-grad forward in collect_activations; see there
 
 
 @dataclass
@@ -95,7 +95,13 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
     """Count routed tokens per (MoE layer, expert) pair for each language.
 
     Runs no-grad forwards of up to CHUNK sequences and reads only their
-    routing records: no parameter is touched and no logits are built.
+    routing records: no parameter is touched and no logits are built. Each
+    sequence routes on its own, so CHUNK changes no count, only the working
+    set. At the desk shape (128 positions, d_model 128) the analyze
+    benchmark's peak RSS read 109.7 MB at 16 sequences per forward, 87.4 MB
+    at 8, 74.9 MB at 4 and 69.4 MB at 2, and its op time was least at 4
+    (146.8 ms per language against 173.0 ms at 16 and 151.6 ms at 2, best of
+    8 interleaved rounds, one BLAS thread); hence CHUNK = 4.
     Deterministic for a given seed; each language draws from its own
     substream. A sequences_per_lang below 1 raises ValueError before any
     encode or forward.

@@ -287,32 +287,32 @@ class Model:
         The forward itself never projects onto the vocabulary: the output
         builds the (positions x vocab_size) logits when they are first read.
         """
-        ids = np.asarray(tokens)
-        if ids.ndim not in (1, 2):
-            raise ValueError(f"tokens must be a sequence or batch of sequences, got shape {ids.shape}")
-        if ids.size == 0:
+        x = embedding(self.tok_emb, tokens)  # checks each id as the caller passed it
+        shape = x.shape[:-1]
+        if len(shape) not in (1, 2):
+            raise ValueError(f"tokens must be a sequence or batch of sequences, got shape {shape}")
+        if not math.prod(shape):
             raise ValueError("empty token sequence")
         cfg = self.config
-        squeeze = ids.ndim == 1
-        b, t = (1, *ids.shape) if squeeze else ids.shape
+        squeeze = len(shape) == 1
+        b, t = (1, *shape) if squeeze else shape
         d = cfg.d_model
         s = 0
         if cache is not None:
             if grad_enabled():
                 raise RuntimeError("a cached forward must run under no_grad(): "
                                    "cached keys and values carry no gradient")
-            shape = (b, cfg.max_seq_len, d)
-            if len(cache.keys) != cfg.n_layers or cache.keys[0].shape != shape:
+            needed = (b, cfg.max_seq_len, d)
+            if len(cache.keys) != cfg.n_layers or cache.keys[0].shape != needed:
                 raise ShapeError(
                     f"cache holds {len(cache.keys)} layers of shape {cache.keys[0].shape}, this "
-                    f"call needs {cfg.n_layers} layers of shape {shape} "
+                    f"call needs {cfg.n_layers} layers of shape {needed} "
                     f"(batch, max_seq_len, d_model)")
             s = cache.length
         if s + t > cfg.max_seq_len:
             held = f"cache length {s} + " if cache is not None else ""
             raise ValueError(f"{held}sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
 
-        x = embedding(self.tok_emb, tokens)  # checks each id as the caller passed it
         if squeeze:
             x = x.reshape(1, t, d)
         x = x + self.pos_emb[s:s + t]

@@ -396,11 +396,12 @@ def cross_entropy(x: Tensor, weight: Tensor, targets) -> Tensor:
     if not shape or w.ndim != 2 or shape[-1] != w.shape[1]:
         raise ShapeError(f"cross_entropy needs x (..., d) and weight (V, d), "
                          f"got {shape} and {w.shape}")
-    if np.shape(targets) != shape[:-1]:
-        raise ShapeError(f"targets shape {np.shape(targets)} does not align with x {shape}")
+    targets = check_ids(targets, w.shape[0], "target")  # names a ragged row
+    if targets.shape != shape[:-1]:
+        raise ShapeError(f"targets shape {targets.shape} does not align with x {shape}")
     if not math.prod(shape[:-1]):
         raise ValueError("cross_entropy needs at least one target")
-    targets = check_ids(targets, w.shape[0], "target").reshape(-1)
+    targets = targets.reshape(-1)
     n = targets.size
     x2 = x.data.reshape(n, w.shape[1])
     p = x2 @ w.T

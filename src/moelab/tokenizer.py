@@ -138,8 +138,11 @@ class Tokenizer:
         """Concatenate token bytes and decode UTF-8; invalid sequences become U+FFFD.
 
         check_ids vets every id first: a bad one raises ValueError naming its position.
+        Anything but one sequence of ids raises ValueError naming its shape.
         """
         ids = check_ids(ids, self.vocab_size, "token id")
+        if ids.ndim != 1:
+            raise ValueError(f"decode takes one sequence of ids, got shape {ids.shape}")
         return b"".join([self.vocab[i] for i in ids.tolist()]).decode("utf-8", errors="replace")
 
     # -- persistence -----------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from moelab import analysis
 from moelab.analysis import (ActivationVector, DistanceMatrix, collect_activations,
                              correlation_sweep, distance_matrix, format_sweep_tsv,
                              heatmap_rows, pearson, read_matrix_tsv, write_heatmap_tsv,
@@ -43,13 +44,15 @@ def params_digest(model):
 class TestCollectActivations:
     def test_zero_gate_routes_everything_to_expert_zero(self, tiny_setup):
         model, tok, docs, _ = tiny_setup
-        for layer in model.layers:
-            if layer.moe is not None:
-                layer.moe.gate_weight.data[:] = 0.0  # uniform gate: ties pick expert 0
+        gates = [layer.moe.gate_weight.data for layer in model.layers if layer.moe is not None]
+        saved = [g.copy() for g in gates]
+        for g in gates:
+            g[:] = 0.0  # uniform gate: ties pick expert 0
         try:
             vectors = collect_activations(model, tok, docs, 4, 12, seed=0)
-        finally:
-            pass
+        finally:  # the model is shared by the tests of this module
+            for g, old in zip(gates, saved):
+                g[:] = old
         for v in vectors:
             assert v.counts.shape == (v.n_layers, v.n_experts) == (1, 3)
             assert (v.counts[:, 1:] == 0).all()
@@ -86,9 +89,24 @@ class TestCollectActivations:
 
         monkeypatch.setattr(model, "forward", recording_forward)
         vectors = collect_activations(model, tok, docs, 20, 12, seed=4)
-        assert len(from_forward) == 2 * len(vectors)  # 20 sequences: chunks of 16 and 4
+        chunks = len(range(0, 20, analysis.CHUNK))  # 20 sequences, CHUNK to a forward
+        assert len(from_forward) == chunks * len(vectors)
         for i, v in enumerate(vectors):
-            assert np.array_equal(v.counts, from_forward[2 * i] + from_forward[2 * i + 1])
+            assert np.array_equal(v.counts, sum(from_forward[chunks * i:chunks * (i + 1)]))
+
+    def test_chunk_size_does_not_change_counts(self, tiny_setup, monkeypatch):
+        """Each sequence routes on its own, so how many share a forward is not seen
+        in the counts; 22 sequences leave a partial last chunk at both sizes."""
+        _, tok, docs, _ = tiny_setup
+        model = Model(ModelConfig(n_layers=2, d_model=16, n_heads=2, max_seq_len=16,
+                                  vocab_size=300, n_experts=3, seed=6))
+        counts = []
+        for chunk in (16, 4):
+            monkeypatch.setattr(analysis, "CHUNK", chunk)
+            counts.append([v.counts for v in collect_activations(model, tok, docs, 22, 12,
+                                                                 seed=2)])
+        assert all(np.array_equal(a, b) for a, b in zip(*counts))
+        assert all((c[:, 1:] > 0).any() for c in counts[0])  # not everything on expert 0
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_sequence_count_below_one_rejected_before_any_work(self, tiny_setup, n,

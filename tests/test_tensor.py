@@ -395,20 +395,29 @@ MALFORMED_IDS = {  # case: (ids, message after the caller's noun)
     "bool": ([1, True], "at position 1 is not an integer: True"),
     "wide": ([5, 2**70], "1180591620717411303424 at position 1 outside [0, {bound})"),
     "batch_float": ([[1, 2], [3, 2.5]], "at position (1, 1) is not an integer: 2.5"),
+    "ragged": ([[1], [2, 3]], "at position 0 is not an integer: [1]"),
 }
+ONE_SEQUENCE = ("decode", "generate")  # callers that refuse a batch by its shape
 
 
 @pytest.mark.parametrize("caller, case", [
     (caller, case) for caller in ID_CALLERS for case in MALFORMED_IDS
-    if case != "batch_float" or caller in ("forward", "cross_entropy")])
+    if not (case == "batch_float" and caller in ONE_SEQUENCE)
+    and not (case == "ragged" and caller == "cross_entropy")])
 def test_every_caller_refuses_a_malformed_id_in_the_same_words(caller, case):
     """The ids reach check_ids as the caller passed them, so numpy never casts
-    the list as a whole: True is not id 1, and the float is named where it is."""
+    the list as a whole: True is not id 1, the float is named where it is, and
+    a ragged batch is named by its first row, not by numpy's shape error."""
     call, noun, bound = ID_CALLERS[caller]
     ids, message = MALFORMED_IDS[case]
     expected = f"{noun} {message.format(bound=bound)}"
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         call(ids)
+
+
+def test_cross_entropy_names_a_ragged_target_row():
+    with pytest.raises(ValueError, match=r"^target at position 0 is not an integer: \[1\]$"):
+        cross_entropy(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((5, 4))), [[1], [2, 3]])
 
 
 @pytest.mark.parametrize("ids", [[], [[]]], ids=["sequence", "batch"])

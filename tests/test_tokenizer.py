@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -102,6 +103,13 @@ def test_decode_names_a_non_integer_id_by_position():
     its position, not a TypeError from list indexing."""
     with pytest.raises(ValueError, match="^token id at position 0 is not an integer: 1.0$"):
         Tokenizer().decode([1.0])
+
+
+@pytest.mark.parametrize("ids, shape", [([[1, 2]], (1, 2)), (5, ())], ids=["batch", "scalar"])
+def test_decode_names_the_shape_of_anything_but_one_sequence(ids, shape):
+    with pytest.raises(ValueError,
+                       match=rf"^decode takes one sequence of ids, got shape {re.escape(str(shape))}$"):
+        Tokenizer().decode(ids)
 
 
 def test_all_byte_tokens_present():
