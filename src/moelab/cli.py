@@ -11,19 +11,12 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
 import math
 import os
 import sys
 
-import numpy as np
-
 from . import analysis, corpus as corpus_mod, model as model_mod, trainer as trainer_mod
-from .tensor import no_grad
-from .tokenizer import BOS_ID, EOS_ID, Tokenizer
-
-SCORE_BATCH = 4  # documents per scoring forward; 8 ran no faster and held 19 MB more
+from .tokenizer import BOS_ID, Tokenizer
 
 
 def _seed_arg(text: str) -> int:
@@ -184,65 +177,30 @@ def cmd_generate(args) -> int:
 
 
 def cmd_perplexity(args) -> int:
-    """Per-language and overall perplexity, each document scored on its first window.
-
-    A document is BOS + text + EOS, cut to its first max_seq_len + 1 ids; the
-    documents cut and the tokens past the window are counted on stderr.
-    Consecutive scored documents whose cut ids have equal length share one
-    no-grad forward, at most SCORE_BATCH of them, and each document's loss
-    comes from its own rows of that forward. Documents of different lengths
-    are never padded into one forward: under additive causal masking a
-    non-finite key or value at a padded position would poison the earlier
-    rows through 0 * NaN in p @ v. The finiteness check and the per-language
-    sums run per document, in corpus order.
-    """
+    """Per-language and overall perplexity of trainer.score_documents, every row
+    computed before any is printed (inf past float range); cuts counted on stderr."""
     lang = None if args.lang is None else corpus_mod.normalize_lang(args.lang, "--lang")
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
     _check_tokenizer_fits(net, tok, args)
-    docs, counts = corpus_mod.load_jsonl(args.corpus)
-    if lang is not None and lang not in counts:
-        raise ValueError(f"no documents for language {lang!r}")
-    max_len = net.config.max_seq_len
-    cut_docs = cut_tokens = 0
-    scored = []  # (corpus index, language, ids), in corpus order
-    for index, doc in enumerate(docs):
-        if lang is not None and doc.lang != lang:
-            continue
-        ids = [BOS_ID] + tok.encode(doc.text) + [EOS_ID]
-        if len(ids) > max_len + 1:  # score the first window; count what lies past it
-            cut_docs += 1
-            cut_tokens += len(ids) - (max_len + 1)
-            ids = ids[:max_len + 1]
-        scored.append((index, doc.lang, ids))
-    nll_sum: dict[str, float] = {}
-    tok_count: dict[str, int] = {}
-    groups = []  # at most SCORE_BATCH consecutive documents of one length each
-    for _, same_length in itertools.groupby(scored, key=lambda item: len(item[2])):
-        same_length = list(same_length)
-        groups += [same_length[i:i + SCORE_BATCH] for i in range(0, len(same_length), SCORE_BATCH)]
-    for group in groups:
-        batch = np.array([ids for _, _, ids in group])
-        n = batch.shape[1] - 1
-        with no_grad():
-            out = net.forward(batch[:, :-1])
-            for row, (index, doc_lang, _) in enumerate(group):
-                breakdown = trainer_mod.total_loss(
-                    dataclasses.replace(out, hidden=out.hidden[row]), batch[row, 1:], alpha=0.0)
-                if not math.isfinite(breakdown.lm_loss):
-                    raise FloatingPointError(
-                        f"{args.corpus}: document {index} (counting from 0, language "
-                        f"{doc_lang!r}) has non-finite loss {breakdown.lm_loss}")
-                nll_sum[doc_lang] = nll_sum.get(doc_lang, 0.0) + breakdown.lm_loss * n
-                tok_count[doc_lang] = tok_count.get(doc_lang, 0) + n
-    total_tok = sum(tok_count.values())
-    print("lang\tperplexity\ttokens")
-    for lang in sorted(nll_sum):
-        print(f"{lang}\t{math.exp(nll_sum[lang] / tok_count[lang]):.4f}\t{tok_count[lang]}")
-    print(f"overall\t{math.exp(sum(nll_sum.values()) / total_tok):.4f}\t{total_tok}")
+    docs, _ = corpus_mod.load_jsonl(args.corpus)
+    try:
+        nll_sum, tokens, cut_docs, cut_tokens = trainer_mod.score_documents(net, tok, docs, lang)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{args.corpus}: {exc}") from None
+    rows = [(name, nll_sum[name], tokens[name]) for name in sorted(nll_sum)]
+    rows.append(("overall", sum(nll_sum.values()), sum(tokens.values())))
+    table = ["lang\tperplexity\ttokens"]
+    for name, nll, count in rows:
+        try:
+            perplexity = math.exp(nll / count)
+        except OverflowError:
+            perplexity = math.inf
+        table.append(f"{name}\t{perplexity:.4f}\t{count}")
+    print("\n".join(table))
     if cut_docs:
-        print(f"warning: {cut_docs} documents exceed the {max_len}-token window; "
-              f"{cut_tokens} tokens past it were not scored", file=sys.stderr)
+        print(f"warning: {cut_docs} documents exceed the {net.config.max_seq_len}-token "
+              f"window; {cut_tokens} tokens past it were not scored", file=sys.stderr)
     return 0
 
 

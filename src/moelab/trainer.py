@@ -1,16 +1,16 @@
-"""Causal-LM training loop: cross-entropy plus the scaled load-balancing loss.
+"""Causal-LM training and scoring: cross-entropy plus the scaled load-balancing loss.
 
 The objective is lm_loss + alpha * sum of per-MoE-layer balance losses, with
 alpha from the model config. Optimization is Adam with global-norm gradient
 clipping and a warmup-then-cosine learning-rate schedule. Batches are a pure
 function of (seed, step), so a run checkpointed at step k and resumed follows
-the original trajectory exactly.
+the original trajectory exactly. Scoring takes the cross-entropy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -20,12 +20,14 @@ from .errors import ConfigError, FormatError
 from .fileio import atomic_write_text
 from .model import ForwardOutput, Model, ModelConfig
 from .optim import AdamState, adam_step, clip_global_norm
-from .tensor import Tensor, cross_entropy
+from .tensor import Tensor, cross_entropy, no_grad
+from .tokenizer import BOS_ID, EOS_ID
 
 LOG_HEADER = "step\tlm_loss\tmoe_loss\ttotal_loss\tlr\ttokens_seen"
 WARMUP_FRAC = 0.01  # share of a run's steps spent warming the learning rate up
 FLOOR_FRAC = 0.1  # the learning rate the cosine decays to, as a share of the peak
 _STATE_FIELDS = ("step", "seed", "tokens_seen")  # a checkpoint's trainer state, all ints >= 0
+SCORE_BATCH = 4  # documents per scoring forward; 8 ran no faster and held 19 MB more
 
 
 @dataclass
@@ -51,6 +53,51 @@ def total_loss(output: ForwardOutput, targets, alpha: float) -> LossBreakdown:
     node = lm + moe
     return LossBreakdown(lm_loss=lm.item(), moe_loss=moe.item(),
                          total_loss=node.item(), node=node)
+
+
+def score_documents(model: Model, tokenizer, docs: list[Document], lang: str | None = None
+                    ) -> tuple[dict[str, float], dict[str, int], int, int]:
+    """Per-language summed next-token NLL and scored tokens, then the documents cut
+    and the tokens past the window. A `lang` limits scoring to its documents.
+
+    A document is BOS + text + EOS, cut to its first max_seq_len + 1 ids. Up to
+    SCORE_BATCH consecutive documents of equal cut length share a no-grad forward;
+    unequal ones are never padded together, because a non-finite key or value at a
+    padded position would reach earlier rows through 0 * NaN in p @ v. The first
+    non-finite loss raises FloatingPointError naming the document's index in
+    `docs` and its language; a `lang` with no documents raises ValueError.
+    """
+    max_len = model.config.max_seq_len
+    cut_docs = cut_tokens = 0
+    groups = []  # [(index in docs, language, ids)] of one length each, in corpus order
+    for index, doc in enumerate(docs):
+        if lang is not None and doc.lang != lang:
+            continue
+        ids = [BOS_ID] + tokenizer.encode(doc.text) + [EOS_ID]
+        if len(ids) > max_len + 1:  # score the first window; count what lies past it
+            cut_docs += 1
+            cut_tokens += len(ids) - (max_len + 1)
+            ids = ids[:max_len + 1]
+        if groups and len(groups[-1]) < SCORE_BATCH and len(groups[-1][0][2]) == len(ids):
+            groups[-1].append((index, doc.lang, ids))
+        else:
+            groups.append([(index, doc.lang, ids)])
+    if lang is not None and not groups:
+        raise ValueError(f"no documents for language {lang!r}")
+    nll_sum, tokens = {}, {}
+    for group in groups:
+        batch = np.array([ids for _, _, ids in group])
+        n = batch.shape[1] - 1
+        with no_grad():
+            out = model.forward(batch[:, :-1])
+            for row, (index, doc_lang, _) in enumerate(group):
+                lm = total_loss(replace(out, hidden=out.hidden[row]), batch[row, 1:], 0.0).lm_loss
+                if not math.isfinite(lm):
+                    raise FloatingPointError(f"document {index} (counting from 0, language "
+                                             f"{doc_lang!r}) has non-finite loss {lm}")
+                nll_sum[doc_lang] = nll_sum.get(doc_lang, 0.0) + lm * n
+                tokens[doc_lang] = tokens.get(doc_lang, 0) + n
+    return nll_sum, tokens, cut_docs, cut_tokens
 
 
 @dataclass

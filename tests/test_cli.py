@@ -182,6 +182,27 @@ class TestRuntimeFailures:
             assert captured.err.startswith("error: logits at position ")
             assert captured.err.endswith(" are not finite\n")
 
+    def test_perplexity_past_float_range_prints_inf(self, workspace, tmp_path, capsys):
+        # one step at lr 100 leaves finite weights whose per-token NLL is far above
+        # 709, where math.exp overflows
+        ckpt = str(tmp_path / "steep.ckpt")
+        assert main(["train", "--config", workspace["config"],
+                     "--corpus", workspace["corpus"], "--tokenizer", workspace["tok"],
+                     "--steps", "1", "--batch-size", "2", "--seed", "7", "--lr", "100",
+                     "--checkpoint-out", ckpt, "--log", str(tmp_path / "log.tsv")]) == 0
+        capsys.readouterr()
+        assert main(["perplexity", "--checkpoint", workspace["ckpt"], "--tokenizer",
+                     workspace["tok"], "--corpus", workspace["corpus"]]) == 0
+        finite = capsys.readouterr()
+        assert main(["perplexity", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
+                     "--corpus", workspace["corpus"]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == finite.err  # the truncation warning, and no traceback
+        rows = [line.split("\t") for line in captured.out.splitlines()]
+        assert [[name, "inf", count] for name, _, count in rows[1:]] == rows[1:]
+        assert rows[0] == ["lang", "perplexity", "tokens"] and rows[-1][0] == "overall"
+        assert len(rows) == len(finite.out.splitlines())
+
     def test_perplexity_names_a_bad_document_that_is_not_first_in_its_forward(
             self, workspace, monkeypatch, capsys):
         from moelab import trainer
@@ -356,6 +377,13 @@ class TestRuntimeFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {empty}: no documents\n"
+
+    def test_perplexity_names_a_language_with_no_documents(self, workspace, capsys):
+        assert main(["perplexity", "--checkpoint", workspace["ckpt"], "--tokenizer",
+                     workspace["tok"], "--corpus", workspace["corpus"], "--lang", "zz"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no documents for language 'zz'\n"
 
     @pytest.mark.parametrize("sub", ["tokenizer-train", "train", "analyze-routing"])
     def test_an_empty_corpus_is_named_before_anything_is_written(self, workspace, tmp_path,

@@ -9,10 +9,10 @@ from moelab.corpus import Document
 from moelab.errors import ConfigError, FormatError, ShapeError
 from moelab.model import ForwardOutput, Model, ModelConfig
 from moelab.moe import RoutingStats
-from moelab.tensor import Tensor, grad_check
-from moelab.tokenizer import Tokenizer
+from moelab.tensor import Tensor, cross_entropy, grad_check, no_grad
+from moelab.tokenizer import BOS_ID, EOS_ID, Tokenizer
 from moelab.trainer import (LrSchedule, Trainer, load_checkpoint, lr_at_step,
-                            save_checkpoint, total_loss)
+                            save_checkpoint, score_documents, total_loss)
 
 
 def tiny_config(**overrides):
@@ -266,6 +266,55 @@ class TestTrainer:
         prompt = [BOS_ID] + doc_ids[:3]
         out = generate(model, prompt, 5, temperature=0.0)
         assert out[len(prompt):] == doc_ids[3:8]
+
+
+def one_document_scores(model, tokenizer, docs):
+    """score_documents' values from one forward per document, through cross_entropy."""
+    window = model.config.max_seq_len + 1
+    nll, count, cut_docs, cut_tokens = {}, {}, 0, 0
+    with no_grad():
+        for d in docs:
+            ids = [BOS_ID] + tokenizer.encode(d.text) + [EOS_ID]
+            cut_docs += len(ids) > window
+            cut_tokens += max(0, len(ids) - window)
+            ids = np.asarray(ids[:window])
+            out = model.forward(ids[:-1])
+            loss = cross_entropy(out.hidden, out.head, ids[1:]).item()
+            nll[d.lang] = nll.get(d.lang, 0.0) + loss * (len(ids) - 1)
+            count[d.lang] = count.get(d.lang, 0) + len(ids) - 1
+    return nll, count, cut_docs, cut_tokens
+
+
+class TestScoreDocuments:
+    @staticmethod
+    def _corpus():
+        """Five cut documents in a row, one more than SCORE_BATCH, and short ones of two lengths."""
+        long = [Document(lang, d.text) for lang, d in
+                zip(["en", "fr"] * 3, word_docs(n_docs=6, words_per_doc=40, seed=2))]
+        short = [Document("fr", "red sun"), Document("en", "red sun"), Document("en", "fish")]
+        return long[:5] + short + long[5:]
+
+    def _assert_equal_scores(self, got, want):
+        assert got[1:] == want[1:]
+        assert got[0].keys() == want[0].keys()
+        for lang, nll in want[0].items():
+            assert got[0][lang] == pytest.approx(nll, rel=1e-12, abs=0), lang
+
+    def test_batched_sums_equal_one_document_forwards(self, word_tokenizer):
+        model, docs = Model(tiny_config(seed=6)), self._corpus()
+        window = model.config.max_seq_len + 1
+        lengths = [len(word_tokenizer.encode(d.text)) + 2 for d in docs]
+        assert sum(n > window for n in lengths) == 6 and len(set(lengths[5:8])) == 2
+        self._assert_equal_scores(score_documents(model, word_tokenizer, docs),
+                                  one_document_scores(model, word_tokenizer, docs))
+
+    def test_lang_scores_and_counts_only_its_documents(self, word_tokenizer):
+        model, docs = Model(tiny_config(seed=6)), self._corpus()
+        french = [d for d in docs if d.lang == "fr"]
+        self._assert_equal_scores(score_documents(model, word_tokenizer, docs, "fr"),
+                                  one_document_scores(model, word_tokenizer, french))
+        with pytest.raises(ValueError, match="no documents for language 'zz'"):
+            score_documents(model, word_tokenizer, docs, "zz")
 
 
 class TestNonFinite:
