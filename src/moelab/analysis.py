@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import FormatError, ShapeError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_lines
 from .tensor import no_grad
 
 CHUNK = 4  # sequences per no-grad forward in collect_activations; see there
@@ -248,8 +248,7 @@ def write_matrix_tsv(matrix: DistanceMatrix, path: str) -> None:
 
 def read_matrix_tsv(path: str) -> DistanceMatrix:
     """Read a matrix as write_matrix_tsv writes it; DistanceMatrix's checks apply unchanged."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = list(read_lines(path))
     if not lines or not lines[0][1].startswith("lang\t"):
         raise FormatError(f"{path}: expected a 'lang\\t<codes...>' header")
     codes = lines[0][1].split("\t")[1:]

@@ -118,15 +118,19 @@ def _check_tokenizer_fits(net: model_mod.Model, tok: Tokenizer, args) -> None:
 
 
 def _check_output_dirs(*outputs: tuple[str, str]) -> None:
-    """Refuse a (flag, path) output whose directory is missing, before any work."""
+    """Refuse a (flag, path) output that can never be written, before any work."""
     for flag, path in outputs:
+        if not path or os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: {'a directory' if path else 'empty'}, not a file")
         directory = os.path.dirname(path)
         if directory and not os.path.isdir(directory):
             raise ValueError(f"{flag} {path}: directory {directory} does not exist")
 
 
 def _check_out_dir(path: str) -> None:
-    """Refuse an --out-dir that is, or lies under, something other than a directory."""
+    """Refuse an --out-dir that is empty, or is or lies under a non-directory."""
+    if not path:
+        raise ValueError("--out-dir : empty, not a directory")
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)

@@ -19,7 +19,7 @@ from numpy.random import default_rng
 
 from .analysis import DistanceMatrix
 from .errors import FormatError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_lines
 from .tokenizer import BOS_ID, EOS_ID
 
 _LANG_RE = re.compile(r"[a-z]{2,8}")
@@ -51,53 +51,35 @@ def normalize_lang(raw, where: str) -> str:
 def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
     """`{"lang": ..., "text": ...}` lines as documents in file order, and counts per language.
 
-    Blank lines are skipped; a file with no document raises FormatError, and
-    so does a line that is not valid UTF-8 or whose text holds a lone
-    surrogate (a `\\ud800` escape), naming the file and line.
+    Lines come from fileio.read_lines, which decodes them. The first bad line in file
+    order raises FormatError naming the file and line, whether its bytes, its JSON or its
+    text (a lone `\\ud800` escape) is at fault; so does a file with no document.
     """
     docs: list[Document] = []
-    counts: Counter[str] = Counter()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}: line {lineno}"
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"{where}: invalid JSON: {exc.msg}") from exc
-                if not isinstance(obj, dict):
-                    raise FormatError(f"{where}: expected a JSON object")
-                missing = {"lang", "text"} - set(obj)
-                if missing:
-                    raise FormatError(f"{where}: missing field(s) {sorted(missing)}")
-                text = obj["text"]
-                if not isinstance(text, str):
-                    raise FormatError(f"{where}: 'text' must be a string")
-                try:
-                    text.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise FormatError(f"{where}: 'text' holds the lone surrogate "
-                                      f"{text[exc.start]!r} at position {exc.start}, "
-                                      f"which is not valid Unicode") from None
-                lang = normalize_lang(obj["lang"], where)
-                docs.append(Document(lang, text))
-                counts[lang] += 1
-    except UnicodeDecodeError:  # text mode cannot say where; find the line in the bytes
-        with open(path, "rb") as fh:
-            raw_lines = fh.read().splitlines()  # \n, \r\n and \r, as text mode splits
-        for lineno, raw in enumerate(raw_lines, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: line {lineno}: invalid UTF-8 byte "
-                                  f"{raw[exc.start]:#04x} at offset {exc.start} "
-                                  f"({exc.reason})") from None
-        raise
+    for lineno, line in read_lines(path):
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{where}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{where}: expected a JSON object")
+        missing = {"lang", "text"} - set(obj)
+        if missing:
+            raise FormatError(f"{where}: missing field(s) {sorted(missing)}")
+        text = obj["text"]
+        if not isinstance(text, str):
+            raise FormatError(f"{where}: 'text' must be a string")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"{where}: 'text' holds the lone surrogate "
+                              f"{text[exc.start]!r} at position {exc.start}, "
+                              f"which is not valid Unicode") from None
+        docs.append(Document(normalize_lang(obj["lang"], where), text))
     if not docs:
         raise FormatError(f"{path}: no documents")
-    return docs, dict(counts)
+    return docs, dict(Counter(d.lang for d in docs))
 
 
 def write_jsonl(docs: list[Document], path: str) -> None:
@@ -111,8 +93,7 @@ def write_doc_counts_tsv(counts: dict[str, int], path: str) -> None:
 
 
 def read_doc_counts_tsv(path: str) -> dict[str, int]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = list(read_lines(path))
     if not lines or lines[0][1].split("\t") != ["lang", "count"]:
         raise FormatError(f"{path}: expected header 'lang\\tcount'")
     out: dict[str, int] = {}

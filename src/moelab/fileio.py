@@ -1,10 +1,28 @@
-"""Atomic file writes: outputs land complete or not at all."""
+"""Files at the boundary: one reader for line-oriented inputs, and atomic writes."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from .errors import FormatError
+
+
+def read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank line in file order, from one read split
+    where text mode splits (\\n, \\r\\n, \\r); the first line that is not UTF-8 raises
+    FormatError naming the file, line, byte and offset."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: line {lineno}: invalid UTF-8 byte {raw[exc.start]:#04x} "
+                              f"at offset {exc.start} ({exc.reason})") from None
+        if line.strip():
+            yield lineno, line
 
 
 def atomic_write(path: str, chunks: Iterable) -> None:

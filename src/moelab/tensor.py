@@ -69,15 +69,13 @@ def grad_enabled() -> bool:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    """Sum `grad` over the leading axes that broadcasting added to `shape`; the
+    product broadcasts no other way, and a size-1 axis fails in the reshape."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
     if extra:
         grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 

@@ -161,7 +161,7 @@ class Tokenizer:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
             raise FormatError(f"cannot read tokenizer file {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise FormatError(f"{path}: tokenizer file holds a {type(payload).__name__}, "

@@ -382,7 +382,8 @@ class TestTsvFormats:
         ("lang\taa\tbb\n\n\naa\t0\t0.5\nbb\t0.5\n", "line 5 does not match"),
         ("lang\taa\tbb\taa\naa\t0\t1\t0\nbb\t1\t0\t1\naa\t0\t1\t0\n",
          "language code 'aa' appears twice in distance matrix$"),
-    ], ids=["bad_cell", "short_row", "repeated_code"])
+        ("lang\taa\tbb\tcc\naa\t0\t1\t1\nbb\t1\t0\t1\n", "3 codes in header but 2 rows$"),
+    ], ids=["bad_cell", "short_row", "repeated_code", "missing_row"])
     def test_matrix_tsv_errors_name_the_file_line(self, tmp_path, text, problem):
         path = tmp_path / "m.tsv"
         path.write_text(text)

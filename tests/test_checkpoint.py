@@ -139,6 +139,21 @@ def test_malformed_trainer_state_names_the_field(tmp_path, state, field):
     assert str(path) in str(info.value) and field in str(info.value)
 
 
+@pytest.mark.parametrize("blob, problem", [
+    (craft(b'{"k": 1'), "invalid JSON header at offset 12: "),
+    (craft(b'{"k": "\xff"}'), "invalid JSON header at offset 12: 'utf-8' codec"),
+    (craft(HEADER, [("wt", 9, (2, 3), bytes(48))]), "tensor wt has unknown dtype code 9"),
+    (craft(HEADER, [("wt", 1, (1,), bytes(8)), ("wt", 1, (1,), bytes(8))]),
+     "duplicate tensor name 'wt'"),
+], ids=["header_not_json", "header_not_utf8", "unknown_dtype", "duplicate_name"])
+def test_malformed_header_or_tensor_entry_names_the_file(tmp_path, blob, problem):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as exc:
+        read_checkpoint(str(path))
+    assert str(exc.value).startswith(f"{path}: {problem}")
+
+
 def test_tensor_name_that_is_not_utf8_rejected(tmp_path):
     blob = bytearray(TINY)
     blob[BOUNDARIES["tensor 0 name"]] = 0xFF

@@ -255,9 +255,14 @@ class TestRuntimeFailures:
         assert captured.err.startswith("error: temperature 1e-320 is too small: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag", ["--log", "--checkpoint-out"])
+    @pytest.mark.parametrize("flag, kind", [
+        ("--log", "missing"), ("--checkpoint-out", "missing"),
+        ("--log", "directory"), ("--checkpoint-out", "directory"),
+        ("--log", "empty"), ("--checkpoint-out", "empty"),
+    ], ids=["--log", "--checkpoint-out", "--log-directory", "--checkpoint-out-directory",
+            "--log-empty", "--checkpoint-out-empty"])
     def test_train_refuses_an_output_in_a_missing_directory_before_any_step(
-            self, workspace, tmp_path, capsys, monkeypatch, flag):
+            self, workspace, tmp_path, tmp_path_factory, capsys, monkeypatch, flag, kind):
         from moelab.trainer import Trainer
 
         def no_step(*args, **kwargs):
@@ -267,21 +272,32 @@ class TestRuntimeFailures:
         outputs = {"--log": str(tmp_path / "log.tsv"),
                    "--checkpoint-out": str(tmp_path / "m.ckpt")}
         missing = tmp_path / "typo"
-        outputs[flag] = str(missing / "out")
+        existing = tmp_path_factory.mktemp("outdir")
+        bad, problem = {"missing": (str(missing / "out"), f"directory {missing} does not exist"),
+                        "directory": (str(existing), "a directory, not a file"),
+                        "empty": ("", "empty, not a file")}[kind]
+        outputs[flag] = bad
         assert main(["train", "--config", workspace["config"], "--corpus", workspace["corpus"],
                      "--tokenizer", workspace["tok"], "--steps", "2", "--batch-size", "2",
                      "--seed", "7", *(x for item in outputs.items() for x in item)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: {flag} {missing / 'out'}: directory {missing} "
-                                "does not exist\n")
+        assert captured.err == f"error: {flag} {bad}: {problem}\n"
         assert not any(tmp_path.iterdir())
+        assert not any(existing.iterdir())
 
-    @pytest.mark.parametrize("sub, flag", [("tokenizer-train", "--output"),
-                                           ("synth-corpus", "--out"), ("synth-corpus", "--truth"),
-                                           ("analyze-routing", "--out-dir")])
+    @pytest.mark.parametrize("sub, flag, kind", [
+        ("tokenizer-train", "--output", "missing"), ("synth-corpus", "--out", "missing"),
+        ("synth-corpus", "--truth", "missing"), ("analyze-routing", "--out-dir", "missing"),
+        ("tokenizer-train", "--output", "directory"), ("synth-corpus", "--truth", "directory"),
+        ("tokenizer-train", "--output", "empty"), ("synth-corpus", "--out", "empty"),
+        ("analyze-routing", "--out-dir", "empty"),
+    ], ids=["tokenizer-train---output", "synth-corpus---out", "synth-corpus---truth",
+            "analyze-routing---out-dir", "tokenizer-train---output-directory",
+            "synth-corpus---truth-directory", "tokenizer-train---output-empty",
+            "synth-corpus---out-empty", "analyze-routing---out-dir-empty"])
     def test_an_output_in_a_missing_directory_is_refused_before_any_work(
-            self, workspace, tmp_path, capsys, monkeypatch, sub, flag):
+            self, workspace, tmp_path, tmp_path_factory, capsys, monkeypatch, sub, flag, kind):
         from moelab import cli
 
         def no_work(*args, **kwargs):
@@ -303,7 +319,12 @@ class TestRuntimeFailures:
                                  "--sequences-per-lang", "1", "--seed", "2"],
                                 {"--out-dir": str(tmp_path / "routing")}),
         }[sub]
-        if flag == "--out-dir":  # created when missing, so an existing file is what is refused
+        existing = tmp_path_factory.mktemp("outdir")
+        if kind == "empty":
+            bad, problem = "", f"empty, not a {'directory' if flag == '--out-dir' else 'file'}"
+        elif kind == "directory":
+            bad, problem = str(existing), "a directory, not a file"
+        elif flag == "--out-dir":  # created when missing, so an existing file is what is refused
             bad, problem = workspace["truth"], f"{workspace['truth']} is not a directory"
         else:
             missing = tmp_path / "typo"
@@ -314,6 +335,7 @@ class TestRuntimeFailures:
         assert captured.out == ""
         assert captured.err == f"error: {flag} {bad}: {problem}\n"
         assert not any(tmp_path.iterdir())
+        assert not any(existing.iterdir())
 
     def test_analyze_routing_of_one_language_writes_nothing(self, workspace, tmp_path,
                                                             capsys):

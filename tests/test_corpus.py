@@ -55,6 +55,18 @@ class TestLoadJsonl:
         with pytest.raises(FormatError, match="e1"):
             load_jsonl(str(path))
 
+    @pytest.mark.parametrize("line, problem", [
+        ('{"lang": 5, "text": "x"}', "'lang' must be a string, got int"),
+        ('["en", "x"]', "expected a JSON object"),
+        ('{"lang": "en", "text": 3}', "'text' must be a string"),
+    ], ids=["lang_not_a_string", "not_an_object", "text_not_a_string"])
+    def test_a_malformed_line_names_the_file_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"lang": "en", "text": "ok"}\n' + line + "\n")
+        with pytest.raises(FormatError) as exc:
+            load_jsonl(str(path))
+        assert str(exc.value) == f"{path}: line 2: {problem}"
+
     def test_a_lone_surrogate_escape_names_its_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"lang": "en", "text": "ok"}\n{"lang": "en", "text": "a\\ud800b"}\n')

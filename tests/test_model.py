@@ -70,6 +70,24 @@ class TestConfig:
         path.write_text(json.dumps(asdict(cfg)))
         assert ModelConfig.load(str(path)) == cfg
 
+    def test_missing_field_named(self):
+        data = asdict(tiny_config())
+        del data["vocab_size"]
+        with pytest.raises(ConfigError, match="'vocab_size'"):
+            ModelConfig.from_dict(data)
+
+    @pytest.mark.parametrize("content, problem", [
+        (b'{"n_layers": 2,', "is not valid JSON: "),
+        (b'{"n_layers": \xff}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[2, 16]", "must hold a JSON object"),
+    ], ids=["invalid_json", "not_utf8", "not_an_object"])
+    def test_malformed_file_names_its_path(self, tmp_path, content, problem):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as exc:
+            ModelConfig.load(str(path))
+        assert str(exc.value).startswith(f"config file {path} {problem}")
+
     def test_paper_reference_instantiation(self):
         PAPER.validate()
         assert (PAPER.alpha, PAPER.seed) == (0.01, 0)  # the defaults are the paper's
@@ -210,6 +228,16 @@ class TestForward:
                                              r"\(0, 1\) outside \[0, 64\)$"):
             model.forward([[5, 2**70]])
 
+    @pytest.mark.parametrize("tokens, problem", [
+        (np.zeros((1, 2, 3), dtype=int), r"^tokens must be a sequence or batch of sequences, "
+                                         r"got shape \(1, 2, 3\)$"),
+        (np.zeros(0, dtype=int), "^empty token sequence$"),
+        (np.zeros((2, 0), dtype=int), "^empty token sequence$"),
+    ], ids=["3d", "empty", "empty_rows"])
+    def test_tokens_of_the_wrong_rank_or_empty_rejected(self, tokens, problem):
+        with pytest.raises(ValueError, match=problem):
+            Model(tiny_config()).forward(tokens)
+
     def test_non_integer_tokens_rejected(self):
         model = Model(tiny_config())
         with pytest.raises(ValueError, match="^token id at position 0 is not an integer: 2.7$"):
@@ -268,6 +296,10 @@ class TestGenerate:
         c = generate(model, [5, 6], 6, temperature=1.0, seed=4)
         assert a == b
         assert a != c or a[:2] == [5, 6]
+
+    def test_negative_max_new_tokens_named(self):
+        with pytest.raises(ValueError, match="^max_new_tokens must be non-negative, got -1$"):
+            generate(Model(tiny_config()), [1, 2], -1)
 
     def test_budget_overflow_rejected(self):
         model = Model(tiny_config(max_seq_len=8))

@@ -237,6 +237,15 @@ def test_load_rejects_malformed_payload_naming_path_and_field(tmp_path, case):
     assert str(path) in str(exc.value) and field in str(exc.value)
 
 
+def test_load_names_the_path_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "tok.json"
+    path.write_bytes(json.dumps(_valid_payload()).encode().replace(b'"version"', b'"\xffversion"'))
+    with pytest.raises(FormatError) as exc:
+        Tokenizer.load(str(path))
+    assert str(exc.value).startswith(f"cannot read tokenizer file {path}: 'utf-8' codec can't "
+                                     "decode byte 0xff")
+
+
 # -- reference paths: BPE on int lists, as textbooks write it --------------------
 
 FIRST_MERGE_ID = 259

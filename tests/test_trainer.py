@@ -205,6 +205,11 @@ class TestTrainer:
             tr.train_step(np.zeros((0, 9), dtype=int))
         assert (tr.step, tr.tokens_seen) == (0, 0)
 
+    def test_batch_size_below_one_named(self, word_tokenizer):
+        with pytest.raises(ValueError, match="^batch_size must be positive, got 0$"):
+            Trainer(Model(tiny_config()), word_docs(), word_tokenizer,
+                    LrSchedule.for_total_steps(1e-3, 10), batch_size=0, seed=0)
+
     def test_train_step_returns_the_row_run_would(self, word_tokenizer):
         trainers = []
         for _ in range(2):
@@ -476,6 +481,24 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
         assert path in str(exc.value) and "'adam.m.lnf.gain'" in str(exc.value)
+
+    def test_missing_moment_rejected(self, tmp_path, word_tokenizer):
+        path = str(tmp_path / "moment.ckpt")
+        save_checkpoint(Trainer(Model(tiny_config()), word_docs(), word_tokenizer,
+                                LrSchedule.for_total_steps(1e-3, 10), batch_size=2, seed=0), path)
+        self._rewrite(path, lambda header, tensors: tensors.pop("adam.v.lnf.gain"))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: checkpoint is missing optimizer tensor "
+                                  "'adam.v.lnf.gain'")
+
+    def test_resume_from_a_weights_only_file_rejected(self, tmp_path, word_tokenizer):
+        path = str(tmp_path / "weights.ckpt")
+        save_checkpoint(Model(tiny_config()), path)
+        with pytest.raises(FormatError) as exc:
+            Trainer.resume(path, word_docs(), word_tokenizer,
+                           LrSchedule.for_total_steps(1e-3, 10), batch_size=2)
+        assert str(exc.value) == f"{path}: checkpoint carries no trainer state to resume from"
 
     def test_removed_config_field_in_header_rejected(self, tmp_path):
         path = str(tmp_path / "old.ckpt")
