@@ -109,7 +109,7 @@ def read_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         header_at = r.pos
         try:
             header = json.loads(r.take(header_len, "JSON header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past the digit limit
             raise FormatError(
                 f"{path}: invalid JSON header at offset {header_at}: {exc}") from exc
         if not isinstance(header, dict):

@@ -96,9 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="Pearson r between two distance matrices")
     p.add_argument("--a", required=True, help="matrix TSV")
     p.add_argument("--b", required=True, help="matrix TSV")
-    p.add_argument("--doc-counts", default=None,
-                   help="doc-count TSV enabling a threshold sweep (analyze-routing writes one)")
-    p.add_argument("--thresholds", default=None, help="comma-separated ascending thresholds")
+    p.add_argument("--corpus", default=None, help="corpus JSONL whose per-language "
+                   "document counts the threshold sweep reads")
+    p.add_argument("--thresholds", default=None, help="comma-separated ascending document-"
+                   "count thresholds; a row keeps languages with at least that many")
     p.set_defaults(func=cmd_correlate)
 
     return parser
@@ -230,7 +231,7 @@ def cmd_analyze_routing(args) -> int:
     net, _ = trainer_mod.load_checkpoint(args.checkpoint)
     tok = Tokenizer.load(args.tokenizer)
     _check_tokenizer_fits(net, tok, args)
-    docs, counts = corpus_mod.load_jsonl(args.corpus)
+    docs, _ = corpus_mod.load_jsonl(args.corpus)
     vectors = analysis.collect_activations(net, tok, docs, args.sequences_per_lang,
                                            net.config.max_seq_len, args.seed)
     matrix = analysis.distance_matrix(vectors)  # before any write: it may refuse the vectors
@@ -238,14 +239,13 @@ def cmd_analyze_routing(args) -> int:
     analysis.write_vectors_tsv(vectors, os.path.join(args.out_dir, "vectors.tsv"))
     analysis.write_matrix_tsv(matrix, os.path.join(args.out_dir, "distance.tsv"))
     analysis.write_heatmap_tsv(vectors, os.path.join(args.out_dir, "heatmap.tsv"))
-    corpus_mod.write_doc_counts_tsv(counts, os.path.join(args.out_dir, "doc_counts.tsv"))
     print(f"analyzed {len(vectors)} languages -> {args.out_dir}")
     return 0
 
 
 def cmd_correlate(args) -> int:
-    if (args.doc_counts is None) != (args.thresholds is None):
-        raise ValueError("--doc-counts and --thresholds must be given together")
+    if (args.corpus is None) != (args.thresholds is None):
+        raise ValueError("--corpus and --thresholds must be given together")
     thresholds = []
     for item in (args.thresholds or "").split(","):
         if item.strip():
@@ -255,10 +255,10 @@ def cmd_correlate(args) -> int:
                 raise ValueError(f"--thresholds item {item!r} is not a number") from None
     a = analysis.read_matrix_tsv(args.a)
     b = analysis.read_matrix_tsv(args.b)
-    if args.doc_counts is None:
+    if args.corpus is None:
         print(f"{analysis.pearson(a, b):.6f}")
         return 0
-    counts = corpus_mod.read_doc_counts_tsv(args.doc_counts)
+    _, counts = corpus_mod.load_jsonl(args.corpus)
     rows = analysis.correlation_sweep(a, b, counts, thresholds)
     print(analysis.format_sweep_tsv(rows), end="")
     return 0

@@ -60,8 +60,8 @@ def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
         where = f"{path}: line {lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{where}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # also an integer literal past Python's digit limit
+            raise FormatError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{where}: expected a JSON object")
         missing = {"lang", "text"} - set(obj)
@@ -85,29 +85,6 @@ def load_jsonl(path: str) -> tuple[list[Document], dict[str, int]]:
 def write_jsonl(docs: list[Document], path: str) -> None:
     lines = [json.dumps({"lang": d.lang, "text": d.text}, ensure_ascii=False) for d in docs]
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def write_doc_counts_tsv(counts: dict[str, int], path: str) -> None:
-    rows = ["lang\tcount"] + [f"{lang}\t{counts[lang]}" for lang in sorted(counts)]
-    atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-def read_doc_counts_tsv(path: str) -> dict[str, int]:
-    lines = list(read_lines(path))
-    if not lines or lines[0][1].split("\t") != ["lang", "count"]:
-        raise FormatError(f"{path}: expected header 'lang\\tcount'")
-    out: dict[str, int] = {}
-    for lineno, line in lines[1:]:
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[1].isdecimal():
-            raise FormatError(f"{path}: line {lineno}: expected 'lang\\tcount' with a "
-                              f"non-negative integer count, got {line!r}")
-        if parts[0] in out:
-            first = next(n for n, ln in lines[1:] if ln.split("\t")[0] == parts[0])
-            raise FormatError(f"{path}: line {lineno}: language {parts[0]!r} already "
-                              f"counted on line {first}")
-        out[parts[0]] = int(parts[1])
-    return out
 
 
 def pack_sequences(docs: list[Document], n_sequences: int, seq_len: int, tokenizer,

@@ -31,7 +31,7 @@ def atomic_write(path: str, chunks: Iterable) -> None:
     The buffers are written as they come, so no joined copy is made. If any
     write or the iteration itself raises, `path` is left as it was.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path) or os.curdir  # "" and "." name the working directory
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:

@@ -86,7 +86,10 @@ class ModelConfig:
                 raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"config file {path}: {exc}") from None
 
 
 def desk_config(**overrides) -> ModelConfig:

@@ -1,15 +1,23 @@
-"""The line-oriented readers at the boundary: every malformed file, however it was
-damaged, loads or raises a FormatError that names it."""
+"""The file readers at the boundary: every malformed file, however it was damaged,
+loads or raises a FormatError (or, for a config, a ConfigError) that names it.
 
+A flipped byte inside a checkpoint's tensor values loads: the format holds no
+digest of its payload."""
+
+import json
 import re
 
 import numpy as np
 import pytest
 
 from moelab.analysis import DistanceMatrix, read_matrix_tsv, write_matrix_tsv
-from moelab.corpus import (Document, load_jsonl, read_doc_counts_tsv, write_doc_counts_tsv,
-                           write_jsonl)
-from moelab.errors import FormatError
+from moelab.corpus import Document, load_jsonl, write_jsonl
+from moelab.errors import ConfigError, FormatError
+from moelab.model import Model, ModelConfig
+from moelab.tokenizer import Tokenizer
+from moelab.trainer import load_checkpoint, save_checkpoint
+
+TINY = dict(n_layers=2, d_model=4, n_heads=1, max_seq_len=4, vocab_size=8, n_experts=2)
 
 
 def _corpus(path):
@@ -22,8 +30,17 @@ def _matrix(path):
         [[0.0, 0.5, 0.25], [0.5, 0.0, 0.75], [0.25, 0.75, 0.0]])), path)
 
 
-def _counts(path):
-    write_doc_counts_tsv({"aa": 12, "bb": 3, "cc": 40}, path)
+def _config(path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(TINY, fh)
+
+
+def _tokenizer(path):
+    Tokenizer.train(["hello there, γειά σου"], vocab_size=264).save(path)
+
+
+def _checkpoint(path):
+    save_checkpoint(Model(ModelConfig(**TINY)), path)
 
 
 def _matrix_rows(path):
@@ -31,9 +48,12 @@ def _matrix_rows(path):
     return matrix.codes, matrix.values.tolist()
 
 
-READERS = {"load_jsonl": (_corpus, load_jsonl),
-           "read_matrix_tsv": (_matrix, _matrix_rows),
-           "read_doc_counts_tsv": (_counts, read_doc_counts_tsv)}
+# name: (seed, write a valid file, read it)
+LINE_READERS = {"load_jsonl": (0, _corpus, load_jsonl),
+                "read_matrix_tsv": (2, _matrix, _matrix_rows)}
+READERS = {**LINE_READERS, "ModelConfig.load": (1, _config, ModelConfig.load),
+           "Tokenizer.load": (3, _tokenizer, Tokenizer.load),
+           "load_checkpoint": (4, _checkpoint, load_checkpoint)}
 MUTATIONS = 100
 
 
@@ -51,27 +71,29 @@ def mutate(data: bytes, rng: np.random.Generator) -> bytes:
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_a_damaged_file_loads_or_raises_a_format_error_naming_it(tmp_path, reader):
-    write, read = READERS[reader]
+    seed, write, read = READERS[reader]
     valid = tmp_path / "valid"
     write(str(valid))
     data = valid.read_bytes()
     read(str(valid))
     path = tmp_path / "damaged"
-    rng = np.random.default_rng(sorted(READERS).index(reader))
+    rng = np.random.default_rng(seed)
     refused = 0
     for _ in range(MUTATIONS):
         path.write_bytes(mutate(data, rng))
         try:
             read(str(path))
-        except FormatError as exc:
-            assert str(exc).startswith(f"{path}: "), str(exc)
+        except (ConfigError, FormatError) as exc:
+            if reader in LINE_READERS:  # a line reader leads with the path, never a ConfigError
+                assert isinstance(exc, FormatError) and str(exc).startswith(f"{path}: "), exc
+            assert str(path) in str(exc), str(exc)
             refused += 1
     assert 0 < refused < MUTATIONS
 
 
-@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("reader", sorted(LINE_READERS))
 def test_a_byte_that_is_not_utf8_names_the_file_line_byte_and_offset(tmp_path, reader):
-    write, read = READERS[reader]
+    _, write, read = LINE_READERS[reader]
     path = tmp_path / "in"
     write(str(path))
     lines = path.read_bytes().splitlines(keepends=True)
@@ -83,10 +105,10 @@ def test_a_byte_that_is_not_utf8_names_the_file_line_byte_and_offset(tmp_path, r
                               "(invalid start byte)")
 
 
-@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("reader", sorted(LINE_READERS))
 def test_lines_ended_by_a_lone_carriage_return_are_numbered_as_text_mode_numbers_them(
         tmp_path, reader):
-    write, read = READERS[reader]
+    _, write, read = LINE_READERS[reader]
     path = tmp_path / "in"
     write(str(path))
     expected = read(str(path))

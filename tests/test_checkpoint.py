@@ -142,10 +142,12 @@ def test_malformed_trainer_state_names_the_field(tmp_path, state, field):
 @pytest.mark.parametrize("blob, problem", [
     (craft(b'{"k": 1'), "invalid JSON header at offset 12: "),
     (craft(b'{"k": "\xff"}'), "invalid JSON header at offset 12: 'utf-8' codec"),
+    (craft(b'{"k": ' + b"9" * 5000 + b"}"), "invalid JSON header at offset 12: Exceeds the limit"),
     (craft(HEADER, [("wt", 9, (2, 3), bytes(48))]), "tensor wt has unknown dtype code 9"),
     (craft(HEADER, [("wt", 1, (1,), bytes(8)), ("wt", 1, (1,), bytes(8))]),
      "duplicate tensor name 'wt'"),
-], ids=["header_not_json", "header_not_utf8", "unknown_dtype", "duplicate_name"])
+], ids=["header_not_json", "header_not_utf8", "integer_past_digit_limit", "unknown_dtype",
+        "duplicate_name"])
 def test_malformed_header_or_tensor_entry_names_the_file(tmp_path, blob, problem):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(blob)

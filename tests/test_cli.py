@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import moelab
+from moelab.analysis import DistanceMatrix, write_matrix_tsv
 from moelab.cli import main
+from moelab.corpus import Document, write_jsonl
 from moelab.model import Model, ModelConfig, param_count
 from moelab.trainer import load_checkpoint
 
@@ -127,7 +129,8 @@ class TestRuntimeFailures:
         assert main(["param-count", "--config", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: n_experts must be an integer >= 1, got {value!r}\n"
+        assert captured.err == (f"error: config file {path}: n_experts must be an integer "
+                                f">= 1, got {value!r}\n")
 
     def test_diverging_train_exits_one(self, workspace, tmp_path, capsys):
         # a huge peak lr blows the weights up at step 0; step 1 then sees a NaN loss
@@ -488,12 +491,10 @@ class TestRuntimeFailures:
                                 "300; they must be equal\n")
 
     @pytest.mark.parametrize("thresholds", [",", "nan", "inf", "0,-inf"])
-    def test_correlate_refuses_empty_or_non_finite_thresholds(self, workspace, tmp_path,
-                                                              capsys, thresholds):
-        counts = tmp_path / "counts.tsv"
-        counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
+    def test_correlate_refuses_empty_or_non_finite_thresholds(self, workspace, capsys,
+                                                              thresholds):
         assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
-                     "--doc-counts", str(counts), "--thresholds", thresholds]) == 1
+                     "--corpus", workspace["corpus"], "--thresholds", thresholds]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         listed = [float(t) for t in thresholds.split(",") if t]
@@ -501,20 +502,20 @@ class TestRuntimeFailures:
                                 f"got {listed!r}\n")
 
 
-    @pytest.mark.parametrize("flags", [["--thresholds", "0"], ["--doc-counts", "counts.tsv"]])
+    @pytest.mark.parametrize("flags", [["--thresholds", "0"], ["--corpus", "corpus.jsonl"]])
     def test_correlate_checks_flag_pairing_before_reading_a_matrix(self, tmp_path, capsys,
                                                                    flags):
         missing = str(tmp_path / "missing.tsv")
         assert main(["correlate", "--a", missing, "--b", missing, *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --doc-counts and --thresholds must be given together\n"
+        assert captured.err == "error: --corpus and --thresholds must be given together\n"
 
     @pytest.mark.parametrize("thresholds, bad", [("1,x", "x"), ("0,1.5.2,3", "1.5.2")])
     def test_correlate_names_a_threshold_that_is_not_a_number(self, tmp_path, capsys,
                                                               thresholds, bad):
         missing = str(tmp_path / "missing.tsv")
-        assert main(["correlate", "--a", missing, "--b", missing, "--doc-counts", missing,
+        assert main(["correlate", "--a", missing, "--b", missing, "--corpus", missing,
                      "--thresholds", thresholds]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -694,6 +695,7 @@ class TestPipeline:
                      "--sequences-per-lang", "3", "--seed", "2",
                      "--out-dir", out_dir]) == 0
         capsys.readouterr()
+        assert sorted(os.listdir(out_dir)) == ["distance.tsv", "heatmap.tsv", "vectors.tsv"]
         for name in ("vectors.tsv", "distance.tsv", "heatmap.tsv"):
             lines = Path(out_dir, name).read_text().splitlines()
             assert len(lines) == 5, name  # header + 4 languages
@@ -705,12 +707,10 @@ class TestPipeline:
         r = float(capsys.readouterr().out.strip())
         assert -1.0 <= r <= 1.0
 
-    def test_correlate_sweep(self, workspace, tmp_path, capsys):
+    def test_correlate_sweep(self, workspace, capsys):
         out_dir = str(workspace["root"] / "routing")
-        counts = tmp_path / "counts.tsv"
-        counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
         assert main(["correlate", "--a", f"{out_dir}/distance.tsv",
-                     "--b", workspace["truth"], "--doc-counts", str(counts),
+                     "--b", workspace["truth"], "--corpus", workspace["corpus"],
                      "--thresholds", "0,5,100"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "threshold\tn_languages\tpearson_r"
@@ -723,21 +723,37 @@ class TestPipeline:
                      "--tokenizer", workspace["tok"], "--corpus", workspace["corpus"],
                      "--sequences-per-lang", "1", "--seed", "2",
                      "--out-dir", str(out_dir)]) == 0
-        counts = out_dir / "doc_counts.tsv"
-        assert counts.read_text() == "lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n"
         capsys.readouterr()
         assert main(["correlate", "--a", str(out_dir / "distance.tsv"),
-                     "--b", workspace["truth"], "--doc-counts", str(counts),
+                     "--b", workspace["truth"], "--corpus", workspace["corpus"],
                      "--thresholds", "1,1000"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].startswith("1\t4\t")
         assert lines[2:] == ["1000\t0\tNA"]
 
-    def test_correlate_unsorted_thresholds_print_nothing(self, workspace, tmp_path, capsys):
-        counts = tmp_path / "counts.tsv"
-        counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
+    def test_correlate_sweeps_the_counts_of_the_corpus_it_is_given(self, tmp_path, capsys):
+        """Skewed counts, so the 5-document threshold drops a language. The expected
+        text is what the sweep printed for this corpus when it read the counts from
+        a TSV file that analyze-routing wrote beside its other outputs."""
+        counts = {"aa": 9, "ab": 7, "ba": 6, "bb": 2, "bc": 5}
+        corpus = str(tmp_path / "c.jsonl")
+        write_jsonl([Document(lang, f"{lang} document {i}") for lang, n in counts.items()
+                     for i in range(n)], corpus)
+        d = np.array([[0, .30, .80, .70, .90], [.30, 0, .60, .75, .85],
+                      [.80, .60, 0, .25, .40], [.70, .75, .25, 0, .35],
+                      [.90, .85, .40, .35, 0]])
+        t = np.array([[0.0 if i == j else 0.2 if a[0] == b[0] else 1.0 for j, b in
+                       enumerate(counts)] for i, a in enumerate(counts)])
+        write_matrix_tsv(DistanceMatrix(list(counts), d), str(tmp_path / "d.tsv"))
+        write_matrix_tsv(DistanceMatrix(list(counts), t), str(tmp_path / "t.tsv"))
+        assert main(["correlate", "--a", str(tmp_path / "d.tsv"), "--b", str(tmp_path / "t.tsv"),
+                     "--corpus", corpus, "--thresholds", "0,5,100"]) == 0
+        assert capsys.readouterr().out == ("threshold\tn_languages\tpearson_r\n0\t5\t0.931978\n"
+                                           "5\t4\t0.904299\n100\t0\tNA\n")
+
+    def test_correlate_unsorted_thresholds_print_nothing(self, workspace, capsys):
         assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
-                     "--doc-counts", str(counts), "--thresholds", "5,1,2"]) == 1
+                     "--corpus", workspace["corpus"], "--thresholds", "5,1,2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: thresholds must be sorted ascending, but 5.0 comes "
@@ -767,7 +783,7 @@ save_checkpoint(resumed, resaved)
 
 def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path):
     """A model with two MoE layers, trained three steps: its checkpoint, the
-    checkpoint a resume of it saves again, the four analyze-routing files and
+    checkpoint a resume of it saves again, the three analyze-routing files and
     the synthetic truth matrix. The steps run in a child process with one
     BLAS thread, so the digests do not depend on how many threads OpenBLAS
     picks on the machine at hand (two threads round the checkpoint's matrix
@@ -790,7 +806,7 @@ def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path):
          workspace["corpus"], workspace["tok"], str(ckpt), str(tmp_path / "log.tsv"),
          str(out_dir), str(resaved)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    files = ["vectors.tsv", "heatmap.tsv", "distance.tsv", "doc_counts.tsv"]
+    files = ["vectors.tsv", "heatmap.tsv", "distance.tsv"]
     assert {"checkpoint": sha(ckpt), "resaved": sha(resaved), "truth": sha(workspace["truth"]),
             **{name: sha(out_dir / name) for name in files}} == {
         "checkpoint": "c277a90446017eff9a53ec820056b1d8b6308ea40378d32b8741338d7e991e24",
@@ -799,7 +815,6 @@ def test_pinned_routing_files_and_checkpoint_bytes(workspace, tmp_path):
         "vectors.tsv": "47e421e14e4bec09a78ef50a550bf688b194e9721bd477a2e40cbef47cefcb15",
         "heatmap.tsv": "48f2d1ad0ea5259668f49f8d6b36735802d1837b7bc1b24682877f668776fa90",
         "distance.tsv": "665880cd3a03a7ed79fef691affa50be5ad8cd20a3a86774799baf0d0426e70c",
-        "doc_counts.tsv": "d6f0927e7046a498097435657c12ffe5b71095cc2fd04506c8552dbff6f03824",
     }
 
 
@@ -871,8 +886,6 @@ def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
 
     common = ["--checkpoint", workspace["ckpt"], "--tokenizer", workspace["tok"]]
     routing = tmp_path / "routing"
-    counts = tmp_path / "counts.tsv"
-    counts.write_text("lang\tcount\naa\t8\nab\t8\nba\t8\nbb\t8\n")
     out_of_range = tmp_path / "bad.tsv"
     out_of_range.write_text("lang\taa\tbb\naa\t0\t7\nbb\t7\t0\n")
     truncated = tmp_path / "truncated.ckpt"
@@ -898,7 +911,7 @@ def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
         distance = str(routing / "distance.tsv")
         assert main(["correlate", "--a", distance, "--b", workspace["truth"]]) == 0
         assert main(["correlate", "--a", distance, "--b", workspace["truth"],
-                     "--doc-counts", str(counts), "--thresholds", "0,9"]) == 0
+                     "--corpus", workspace["corpus"], "--thresholds", "0,9"]) == 0
         assert main(["param-count", "--config", workspace["config"]]) == 0
         # error-only helpers, each driven by one malformed input
         assert main(["correlate", "--a", distance, "--b", str(out_of_range)]) == 1

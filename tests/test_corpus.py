@@ -6,11 +6,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from moelab.corpus import (Document, load_jsonl, read_doc_counts_tsv,
-                           sample_batch, synth_corpus, write_doc_counts_tsv,
-                           write_jsonl)
+from moelab.corpus import Document, load_jsonl, sample_batch, synth_corpus, write_jsonl
 from moelab.errors import FormatError
 from moelab.tokenizer import BOS_ID, EOS_ID, Tokenizer
+
+
+def _digit_limit_error() -> str:
+    """The interpreter's message for an integer literal longer than its digit limit."""
+    try:
+        int("9" * 5000)
+    except ValueError as exc:
+        return str(exc)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +65,9 @@ class TestLoadJsonl:
         ('{"lang": 5, "text": "x"}', "'lang' must be a string, got int"),
         ('["en", "x"]', "expected a JSON object"),
         ('{"lang": "en", "text": 3}', "'text' must be a string"),
-    ], ids=["lang_not_a_string", "not_an_object", "text_not_a_string"])
+        ('{"lang": "en", "text": "x", "n": ' + "9" * 5000 + "}",
+         f"invalid JSON: {_digit_limit_error()}"),
+    ], ids=["lang_not_a_string", "not_an_object", "text_not_a_string", "integer_past_digit_limit"])
     def test_a_malformed_line_names_the_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "c.jsonl"
         path.write_text('{"lang": "en", "text": "ok"}\n' + line + "\n")
@@ -103,41 +111,6 @@ class TestDocCounts:
         assert counts == {"de": 1, "en": 3}
         assert type(counts) is dict and "xx" not in counts
         assert sum(counts.values()) == len(docs)
-
-    def test_tsv_roundtrip(self, tmp_path):
-        counts = {"en": 42, "de": 7}
-        path = tmp_path / "counts.tsv"
-        write_doc_counts_tsv(counts, str(path))
-        assert read_doc_counts_tsv(str(path)) == counts
-        assert path.read_text().splitlines()[0] == "lang\tcount"
-
-    def test_tsv_bad_header(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("language\tn\nen\t3\n")
-        with pytest.raises(FormatError):
-            read_doc_counts_tsv(str(path))
-
-    @pytest.mark.parametrize("count", ["-3", "-0", "+3", "3.0", "", "three"])
-    def test_tsv_count_must_be_a_non_negative_integer(self, tmp_path, count):
-        path = tmp_path / "counts.tsv"
-        path.write_text(f"lang\tcount\nen\t3\nde\t{count}\n")
-        with pytest.raises(FormatError) as exc:
-            read_doc_counts_tsv(str(path))
-        assert str(exc.value).startswith(f"{path}: line 3: ")
-        assert repr(f"de\t{count}") in str(exc.value)
-
-    def test_tsv_errors_name_the_file_line(self, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text("lang\tcount\n\naa\t3\n\nbb\t-3\n")
-        with pytest.raises(FormatError, match=r": line 5: .*'bb\\t-3'"):
-            read_doc_counts_tsv(str(path))
-
-    def test_tsv_repeated_language_names_both_lines(self, tmp_path):
-        path = tmp_path / "counts.tsv"
-        path.write_text("lang\tcount\naa\t3\n\naa\t5\n")
-        with pytest.raises(FormatError) as exc:
-            read_doc_counts_tsv(str(path))
-        assert str(exc.value) == f"{path}: line 4: language 'aa' already counted on line 2"
 
 
 class TestSampleBatch:
