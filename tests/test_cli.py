@@ -15,7 +15,7 @@ import pytest
 import moelab
 from moelab.analysis import DistanceMatrix, write_matrix_tsv
 from moelab.cli import main
-from moelab.corpus import Document, write_jsonl
+from moelab.corpus import Document, load_jsonl, write_jsonl
 from moelab.model import Model, ModelConfig, param_count
 from moelab.trainer import load_checkpoint
 
@@ -521,6 +521,33 @@ class TestRuntimeFailures:
         assert captured.out == ""
         assert captured.err == f"error: --thresholds item {bad!r} is not a number\n"
 
+    def test_correlate_names_the_corpus_line_it_cannot_read(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"lang": "aa", "text": "x"}\n\n{"lang": "bb", "text": \n')
+        assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
+                     "--corpus", str(corpus), "--thresholds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {corpus}: line 3: invalid JSON: "), captured.err
+
+    def test_correlate_names_a_corpus_that_does_not_exist(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
+                     "--corpus", str(missing), "--thresholds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+
+    def test_correlate_refuses_a_corpus_without_a_matrix_language(self, workspace, tmp_path,
+                                                                  capsys):
+        corpus = str(tmp_path / "c.jsonl")
+        write_jsonl([Document(lang, "x") for lang in ("aa", "ab", "ba")], corpus)
+        assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
+                     "--corpus", corpus, "--thresholds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no document count for language 'bb'\n"
+
     @pytest.mark.parametrize("lang", ["a", "a1", "ab-cd", "abcdefghi", ""])
     def test_perplexity_names_a_malformed_lang_before_loading(self, tmp_path, capsys, lang):
         missing = str(tmp_path / "missing")
@@ -750,6 +777,18 @@ class TestPipeline:
                      "--corpus", corpus, "--thresholds", "0,5,100"]) == 0
         assert capsys.readouterr().out == ("threshold\tn_languages\tpearson_r\n0\t5\t0.931978\n"
                                            "5\t4\t0.904299\n100\t0\tNA\n")
+
+    def test_correlate_ignores_corpus_languages_outside_the_matrices(self, workspace,
+                                                                     tmp_path, capsys):
+        docs, _ = load_jsonl(workspace["corpus"])
+        corpus = str(tmp_path / "c.jsonl")
+        write_jsonl(docs + [Document("zz", "x")] * 50, corpus)
+        # 8 documents for each of the four matrix languages, 50 for zz
+        assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
+                     "--corpus", corpus, "--thresholds", "0,8,9,50"]) == 0
+        assert capsys.readouterr().out == ("threshold\tn_languages\tpearson_r\n"
+                                           "0\t4\t1.000000\n8\t4\t1.000000\n9\t0\tNA\n"
+                                           "50\t0\tNA\n")
 
     def test_correlate_unsorted_thresholds_print_nothing(self, workspace, capsys):
         assert main(["correlate", "--a", workspace["truth"], "--b", workspace["truth"],
