@@ -108,22 +108,23 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
     A pass whose balance loss is not finite raises FloatingPointError naming
     the language and the MoE layer, counting from 0 in model order.
     """
-    from .corpus import pack_sequences
+    from .corpus import LanguageGroups, group_by_language, pack_sequences
 
     if sequences_per_lang < 1:
         raise ValueError(f"sequences_per_lang must be at least 1, got {sequences_per_lang}")
-    present = sorted({d.lang for d in docs})
+    groups = group_by_language(docs)
     if languages is None:
-        languages = present
+        languages = groups.langs
     for lang in languages:
-        if lang not in present:
+        if lang not in groups.langs:
             raise ValueError(f"language {lang!r} not present in corpus")
     n_experts = model.config.n_experts
     vectors = []
     for lang in languages:
-        rng = default_rng([seed, present.index(lang)])
-        lang_docs = [d for d in docs if d.lang == lang]
-        seqs = pack_sequences(lang_docs, sequences_per_lang, seq_len, tokenizer, rng)
+        i = groups.langs.index(lang)
+        rng = default_rng([seed, i])
+        one = LanguageGroups([lang], [groups.docs[i]], np.ones(1))
+        seqs = pack_sequences(one, sequences_per_lang, seq_len, tokenizer, rng)
         seqs = seqs[:, :seq_len]  # routing needs inputs only, no shifted targets
         counts = 0
         for start in range(0, len(seqs), CHUNK):
@@ -189,12 +190,14 @@ def pearson(a: DistanceMatrix, b: DistanceMatrix) -> float:
 
 
 def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, int],
-                      thresholds: list[float]) -> list[tuple[float, int, float | None]]:
+                      thresholds: list[float], where: str
+                      ) -> list[tuple[float, int, float | None]]:
     """One (threshold, n_languages, r) row per threshold.
 
     Each row correlates a and b over their common languages whose document
     count reaches the threshold; r is None when fewer than 3 survive. A
-    common language without a count raises ValueError naming it, before any row.
+    common language without a count raises ValueError naming `where` the
+    counts came from and the language, before any row.
     """
     if not thresholds or not all(map(math.isfinite, thresholds)):
         raise ValueError(f"thresholds must be finite numbers, at least one, got {thresholds!r}")
@@ -206,7 +209,7 @@ def correlation_sweep(a: DistanceMatrix, b: DistanceMatrix, counts: dict[str, in
     common = [c for c in a.codes if c in b_codes]
     missing = next((c for c in common if c not in counts), None)
     if missing is not None:
-        raise ValueError(f"no document count for language {missing!r}")
+        raise ValueError(f"{where}: no documents for language {missing!r}")
     rows: list[tuple[float, int, float | None]] = []
     for thr in thresholds:
         kept = [c for c in common if counts[c] >= thr]

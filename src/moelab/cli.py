@@ -259,7 +259,7 @@ def cmd_correlate(args) -> int:
         print(f"{analysis.pearson(a, b):.6f}")
         return 0
     _, counts = corpus_mod.load_jsonl(args.corpus)
-    rows = analysis.correlation_sweep(a, b, counts, thresholds)
+    rows = analysis.correlation_sweep(a, b, counts, thresholds, f"--corpus {args.corpus}")
     print(analysis.format_sweep_tsv(rows), end="")
     return 0
 

@@ -87,23 +87,40 @@ def write_jsonl(docs: list[Document], path: str) -> None:
     atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def pack_sequences(docs: list[Document], n_sequences: int, seq_len: int, tokenizer,
+@dataclass
+class LanguageGroups:
+    """A corpus grouped for sampling: langs sorted, docs[i] the documents of
+    langs[i] in corpus order, and weights[i] their share of all documents,
+    the probability that a draw picks langs[i]."""
+
+    langs: list[str]
+    docs: list[list[Document]]
+    weights: np.ndarray
+
+
+def group_by_language(docs: list[Document]) -> LanguageGroups:
+    """Group `docs` by language in one pass; the caller keeps it for every batch it draws."""
+    by_lang: dict[str, list[Document]] = {}
+    for doc in docs:
+        by_lang.setdefault(doc.lang, []).append(doc)
+    langs = sorted(by_lang)
+    counts = np.array([len(by_lang[lang]) for lang in langs], dtype=np.float64)
+    return LanguageGroups(langs, [by_lang[lang] for lang in langs], counts / counts.sum())
+
+
+def pack_sequences(groups: LanguageGroups, n_sequences: int, seq_len: int, tokenizer,
                    rng: np.random.Generator) -> np.ndarray:
     """Pack sampled documents into fixed-length rows of seq_len + 1 token ids.
 
-    Documents are drawn language-proportionally (a language's weight is its
-    document count), wrapped in bos/eos, concatenated, and truncated.
+    Each draw picks a language by its weight, then a document of it uniformly;
+    documents are wrapped in bos/eos, concatenated, and truncated.
     """
-    langs = sorted({d.lang for d in docs})
-    by_lang = {lang: [d for d in docs if d.lang == lang] for lang in langs}
-    weights = np.array([len(by_lang[lang]) for lang in langs], dtype=np.float64)
-    weights /= weights.sum()
     rows = np.empty((n_sequences, seq_len + 1), dtype=np.int64)
     for r in range(n_sequences):
         ids: list[int] = []
         while len(ids) < seq_len + 1:
-            lang = langs[int(rng.choice(len(langs), p=weights))]
-            doc = by_lang[lang][int(rng.integers(len(by_lang[lang])))]
+            docs = groups.docs[int(rng.choice(len(groups.langs), p=groups.weights))]
+            doc = docs[int(rng.integers(len(docs)))]
             ids.append(BOS_ID)
             ids.extend(tokenizer.encode(doc.text))
             ids.append(EOS_ID)
@@ -111,21 +128,21 @@ def pack_sequences(docs: list[Document], n_sequences: int, seq_len: int, tokeniz
     return rows
 
 
-def sample_batch(docs: list[Document], batch_size: int, seq_len: int, tokenizer,
+def sample_batch(groups: LanguageGroups, batch_size: int, seq_len: int, tokenizer,
                  seed: int, step: int) -> np.ndarray:
     """Deterministic training batch: a pure function of (seed, step).
 
     Returns a (batch_size, seq_len + 1) id array; the trainer shifts it into
     inputs and next-token targets.
     """
-    if not docs:
+    if not groups.langs:
         raise ValueError("cannot sample from an empty corpus")
     if batch_size < 1 or seq_len < 1:
         raise ValueError(f"batch_size and seq_len must be positive, got {batch_size}, {seq_len}")
     if seed < 0 or step < 0:
         raise ValueError(f"seed and step must be non-negative, got {seed}, {step}")
     rng = default_rng([seed, step])
-    return pack_sequences(docs, batch_size, seq_len, tokenizer, rng)
+    return pack_sequences(groups, batch_size, seq_len, tokenizer, rng)
 
 
 def synth_corpus(n_families: int, langs_per_family: int, docs_per_lang: int,

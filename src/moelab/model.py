@@ -4,7 +4,8 @@ Layers come in pairs: even layers keep the standard dense feed-forward block
 and odd layers host a mixture-of-experts block, so half of the layers are MoE
 layers, as in LOLA. Embeddings are tied between input and output, and
 positions use a learned absolute table. Blocks are pre-norm residual with a
-final layer norm.
+final layer norm; the attention out projection, the dense feed-forward and
+the MoE combine each add the residual stream into their own output.
 """
 
 from __future__ import annotations
@@ -331,15 +332,14 @@ class Model:
                 cache.values[i][:, s:s + t] = v.data
                 k = Tensor(cache.keys[i][:, :s + t])
                 v = Tensor(cache.values[i][:, :s + t])
-            x = x + linear(attention(q, k, v, cfg.n_heads), a.wo, a.bo)
+            x = linear(attention(q, k, v, cfg.n_heads), a.wo, a.bo, residual=x)
 
             h = layer_norm(x, layer.ln2_gain, layer.ln2_bias)
             if layer.moe is not None:
-                y, layer_stats = moe_forward(h.reshape(b * t, d), layer.moe)
-                x = x + y.reshape(b, t, d)
+                x, layer_stats = moe_forward(h.reshape(b * t, d), layer.moe, x)
                 stats.append(layer_stats)
             else:
-                x = x + ffn_forward(h, layer.ffn)
+                x = ffn_forward(h, layer.ffn, x)
         if cache is not None:
             cache.length = s + t
         x = layer_norm(x, self.lnf_gain, self.lnf_bias)

@@ -10,11 +10,14 @@ and treated as constant.
 Dispatch is dropless: one stable sort by expert groups the tokens into
 contiguous runs, and each expert runs once on its run. An expert that
 receives no token is not called. One combine node then scatters the runs'
-rows back to token order and scales each by its token's gate probability.
+rows back to token order, scales each by its token's gate probability and
+adds the block's residual input into the same buffer, so the layer's output
+is the residual stream itself and no expert-only sum outlives the forward.
 It keeps no array of its own: backward gathers the output gradient g by the
 sort order and scales it by the gathered probabilities into each run's
-gradient, and the probability gradient at each token's selected expert is
-the row sum of g times the run's own output, read from the run.
+gradient, the probability gradient at each token's selected expert is the
+row sum of g times the run's own output, read from the run, and the
+residual, served last, takes g itself, as tensor._add_residual describes.
 
 Each call also yields one RoutingStats record: the selection, the fraction
 f_i of tokens routed to each expert, the gate probabilities, and from them,
@@ -30,6 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ShapeError
 from .tensor import Tensor, feed_forward, linear, set_grad_enabled, softmax
 
 
@@ -43,8 +47,8 @@ class FeedForward:
     b2: Tensor
 
 
-def ffn_forward(x: Tensor, ffn: FeedForward) -> Tensor:
-    return feed_forward(x, ffn.w1, ffn.b1, ffn.w2, ffn.b2)
+def ffn_forward(x: Tensor, ffn: FeedForward, residual: Tensor | None = None) -> Tensor:
+    return feed_forward(x, ffn.w1, ffn.b1, ffn.w2, ffn.b2, residual)
 
 
 @dataclass
@@ -96,22 +100,30 @@ def gate(x: Tensor, gate_weight: Tensor) -> Tensor:
 
 
 def combine(runs: list[Tensor], order: np.ndarray, probs: Tensor,
-            selected: np.ndarray) -> Tensor:
-    """The expert runs back in token order, each row times its gate probability, as one node.
+            selected: np.ndarray, residual: Tensor) -> Tensor:
+    """residual plus the expert runs back in token order, each row times its gate
+    probability, as one node.
 
     runs are the active experts' outputs in expert order; row k of them stacked
-    belongs to token order[k]. The module docstring gives the backward.
+    belongs to token order[k]. residual holds the tokens' rows in token order
+    under any leading shape, and the output takes that shape. The module
+    docstring gives the backward.
     """
-    n_tokens = len(order)
+    n_tokens, width = len(order), runs[0].shape[1]
+    if residual.data.size != n_tokens * width or residual.data.shape[-1:] != (width,):
+        raise ShapeError(f"combine residual must hold {n_tokens} rows of width {width}, "
+                         f"got shape {residual.data.shape}")
     picked = probs.data[np.arange(n_tokens), selected][:, None]
     splits = np.cumsum([run.shape[0] for run in runs])[:-1]
-    out = np.empty((n_tokens, runs[0].shape[1]))
+    out = np.empty((n_tokens, width))
     for run, tokens in zip(runs, np.split(order, splits)):
         out[tokens] = run.data
     out *= picked
+    out = out.reshape(residual.data.shape)
+    out += residual.data
 
     def bwd(g: np.ndarray) -> None:
-        gathered = g[order]
+        gathered = g.reshape(n_tokens, width)[order]
         parts = np.split(gathered, splits)  # one view per run
         if probs.requires_grad:
             gprobs = np.zeros_like(probs.data)
@@ -121,14 +133,16 @@ def combine(runs: list[Tensor], order: np.ndarray, probs: Tensor,
         gathered *= picked[order]
         for run, part in zip(runs, parts):
             run._accum(part)
+        residual._accum(g)
 
-    return Tensor._op(out, (*runs, probs), bwd)
+    return Tensor._op(out, (*runs, probs, residual), bwd)
 
 
-def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats]:
+def moe_forward(x: Tensor, layer: MoeLayer, residual: Tensor) -> tuple[Tensor, RoutingStats]:
     """Route each of the T tokens in x (T x d) through its top-1 expert.
 
-    Returns the combined layer output and the layer's routing record.
+    Returns residual plus the combined expert outputs, in residual's shape
+    (its T rows in token order), and the layer's routing record.
     """
     n_tokens = x.shape[0]
     probs = gate(x, layer.gate_weight)
@@ -138,5 +152,5 @@ def moe_forward(x: Tensor, layer: MoeLayer) -> tuple[Tensor, RoutingStats]:
     ends = np.cumsum(counts)
     runs = [ffn_forward(x[order[end - count:end]], expert)
             for expert, count, end in zip(layer.experts, counts, ends) if count]
-    out = combine(runs, order, probs, selected)
+    out = combine(runs, order, probs, selected, residual)
     return out, RoutingStats(selected, counts / n_tokens, probs)

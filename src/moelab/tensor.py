@@ -14,9 +14,11 @@ other gradient holds (a freshly computed one, one of its own saved buffers,
 or a view of a part of the node's own gradient that no other parent gets;
 the node never reads it again), and _accum keeps that array as the parent's
 .grad without copying it. An op that hands one array to two parents
-(__add__) copies it for the second. So no two leaves' gradients share
-memory, and in-place updates of a leaf's .grad (clipping, the next +=) touch
-only that leaf.
+(__add__) copies it for the second. An op that adds a residual into its
+output (linear, feed_forward, moe.combine) serves every other parent first
+and then hands the residual its own gradient whole, with no copy. So no two
+leaves' gradients share memory, and in-place updates of a leaf's .grad
+(clipping, the next +=) touch only that leaf.
 
 Saved arrays: a node keeps only the arrays its backward reads, and rebuilds
 what it can recompute bitwise in an elementwise pass or two from arrays the
@@ -24,6 +26,9 @@ graph already holds. Nodes read their parents' .data in backward instead of
 saving a copy: linear and feed_forward their input x, layer_norm its input x
 (to rebuild the normalized rows from the kept mean and 1/sigma). So a
 parent's .data must not be written between a forward and its backward.
+A residual block's last op takes the residual stream as `residual` and adds
+it into its own output buffer, so the graph holds one array per block, the
+new stream, and no branch output that only a separate add would read.
 
 All compute is 64-bit: the finite-difference gradient checks in grad_check()
 need the headroom.
@@ -242,12 +247,14 @@ def as_tensor(x) -> Tensor:
 # -- fused operations ---------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) as one node, for x of shape (..., n_in) and w of shape (n_in, n_out).
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None,
+           residual: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) (+ residual) as one node, for x (..., n_in) and w (n_in, n_out).
 
     All leading axes of x fold into the rows of one GEMM and the bias is added
     in place. Backward: gx = g @ w^T, gw = x2^T @ g2 as one product over all
     rows (x2, g2 are x and g with leading axes folded), gb = column sums of g2.
+    A residual, of the output's shape, is added as _add_residual describes.
     """
     if x.data.ndim < 1 or w.data.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(
@@ -259,9 +266,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                 f"linear bias must have shape ({w.data.shape[1]},), got {b.data.shape}")
         parents = (x, w, b)
     x2 = x.data.reshape(-1, w.data.shape[0])
-    out = x2 @ w.data
+    out = (x2 @ w.data).reshape(x.data.shape[:-1] + (w.data.shape[1],))
     if b is not None:
         out += b.data
+    parents += _add_residual(out, residual, "linear")
 
     def bwd(g: np.ndarray) -> None:
         g2 = g.reshape(-1, w.data.shape[1])
@@ -271,13 +279,29 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             w._accum(x2.T @ g2)
         if b is not None and b.requires_grad:
             b._accum(g2.sum(axis=0))
+        if residual is not None:
+            residual._accum(g)
 
-    return Tensor._op(out.reshape(x.data.shape[:-1] + (w.data.shape[1],)), parents, bwd)
+    return Tensor._op(out, parents, bwd)
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """The two-layer MLP a @ w2 + b2, a = gelu(u), u = x @ w1 + b1, as one node,
-    for x of shape (..., n_in), w1 (n_in, hidden) and w2 (hidden, n_out).
+def _add_residual(out: np.ndarray, residual: Tensor | None, op: str) -> tuple[Tensor, ...]:
+    """Add `residual` into the op's fresh output `out` in place, last, so each element
+    is the sum __add__ would round; return it as the op's extra parent, or ().
+    The op's backward hands it g itself, last (the module docstring says why)."""
+    if residual is None:
+        return ()
+    if residual.data.shape != out.shape:
+        raise ShapeError(f"{op} residual must have the output's shape {out.shape}, "
+                         f"got {residual.data.shape}")
+    out += residual.data
+    return (residual,)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 residual: Tensor | None = None) -> Tensor:
+    """The two-layer MLP a @ w2 + b2 (+ residual), a = gelu(u), u = x @ w1 + b1, as
+    one node, for x of shape (..., n_in), w1 (n_in, hidden) and w2 (hidden, n_out).
 
     The activation is GELU in its tanh form (GPT-2's): gelu(u) = u * phi, where
     phi = 0.5 * (1 + tanh(c * (u + 0.044715 u^3))) and c = sqrt(2 / pi), computed
@@ -285,7 +309,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     in backward for gw2 = a^T @ g2. The gradient through the activation reuses
     phi via 1 - tanh^2 = 4 phi (1 - phi):
     d(u phi)/du = phi + 2c phi (1 - phi) (u + 3 * 0.044715 u^3).
-    Leading axes of x fold into the rows of each GEMM, as in linear().
+    Leading axes of x fold into the rows of each GEMM, as in linear(). A
+    residual, of the output's shape, is added as _add_residual describes.
     """
     xs, w1s, b1s, w2s, b2s = (t.data.shape for t in (x, w1, b1, w2, b2))
     if (len(w1s) != 2 or len(w2s) != 2 or xs[-1:] != w1s[:1] or b1s != w1s[1:]
@@ -302,8 +327,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     np.tanh(phi, out=phi)
     phi *= 0.5
     phi += 0.5
-    out = np.multiply(u, phi) @ w2.data
+    out = (np.multiply(u, phi) @ w2.data).reshape(xs[:-1] + b2s)
     out += b2.data
+    parents = (x, w1, b1, w2, b2) + _add_residual(out, residual, "feed_forward")
 
     def bwd(g: np.ndarray) -> None:
         g2 = g.reshape(-1, b2s[0])
@@ -328,8 +354,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
             w1._accum(x2.T @ gu)
         if b1.requires_grad:
             b1._accum(gu.sum(axis=0))
+        if residual is not None:
+            residual._accum(g)
 
-    return Tensor._op(out.reshape(xs[:-1] + b2s), (x, w1, b1, w2, b2), bwd)
+    return Tensor._op(out, parents, bwd)
 
 
 def softmax(x: Tensor) -> Tensor:

@@ -162,7 +162,7 @@ class Tokenizer:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: invalid JSON or UTF-8
-            raise FormatError(f"cannot read tokenizer file {path}: {exc}") from exc
+            raise FormatError(f"{path}: cannot read tokenizer file: {exc}") from exc
         if not isinstance(payload, dict):
             raise FormatError(f"{path}: tokenizer file holds a {type(payload).__name__}, "
                               "not an object")

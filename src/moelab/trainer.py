@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
-from .corpus import Document, sample_batch
+from .corpus import Document, group_by_language, sample_batch
 from .errors import ConfigError, FormatError
 from .fileio import atomic_write_text
 from .model import ForwardOutput, Model, ModelConfig
@@ -167,8 +167,9 @@ class Trainer:
     """Owns one model plus its optimizer state for a deterministic run.
 
     Every batch row holds max_seq_len + 1 ids: max_seq_len inputs and their
-    shifted targets. Adam starts from zero moments unless `adam` hands over
-    the state to continue from, as Trainer.resume does.
+    shifted targets, drawn from the corpus as grouped by language here, once.
+    Adam starts from zero moments unless `adam` hands over the state to
+    continue from, as Trainer.resume does.
     """
 
     def __init__(self, model: Model, docs: list[Document], tokenizer,
@@ -177,7 +178,7 @@ class Trainer:
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.model = model
-        self.docs = docs
+        self.groups = group_by_language(docs)
         self.tokenizer = _EncodeCache(tokenizer)
         self.schedule = schedule
         self.batch_size = batch_size
@@ -224,7 +225,7 @@ class Trainer:
         """Train for `steps` steps (at least 1; checked before any step)."""
         if steps < 1:
             raise ValueError(f"steps must be at least 1, got {steps}")
-        return [self.train_step(sample_batch(self.docs, self.batch_size, self.seq_len,
+        return [self.train_step(sample_batch(self.groups, self.batch_size, self.seq_len,
                                              self.tokenizer, self.seed, self.step))
                 for _ in range(steps)]
 

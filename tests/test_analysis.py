@@ -288,7 +288,7 @@ class TestFilterAndSweep:
 
     def sweep(self, thresholds, counts=None):
         return correlation_sweep(*self.matrices(), self.COUNTS if counts is None else counts,
-                                 thresholds)
+                                 thresholds, "counts.jsonl")
 
     def test_threshold_filter(self):
         a, b = self.matrices()
@@ -305,14 +305,14 @@ class TestFilterAndSweep:
         assert sizes == [4, 3, 2, 1, 0]
 
     def test_missing_count_rejected(self):
-        with pytest.raises(ValueError, match="no document count for language 'aa'"):
+        with pytest.raises(ValueError, match="^counts.jsonl: no documents for language 'aa'$"):
             self.sweep([0], counts={"bb": 1, "cc": 1, "dd": 1})
 
     def test_sweep_rows(self):
         vectors = self.vectors()
         reference = symmetric_matrix(self.CODES, np.random.default_rng(10))
         rows = correlation_sweep(distance_matrix(vectors), reference, self.COUNTS,
-                                 [0, 100, 1e12])
+                                 [0, 100, 1e12], "counts.jsonl")
         assert rows[0] == (0, 4, pearson(distance_matrix(vectors), reference))
         assert rows[2] == (1e12, 0, None)
         # the restricted matrix gives the same r as distances over the kept vectors only
@@ -325,7 +325,7 @@ class TestFilterAndSweep:
         vectors = self.vectors()
         reference = symmetric_matrix(self.CODES, np.random.default_rng(11))
         rows = correlation_sweep(distance_matrix(vectors), reference, self.COUNTS,
-                                 [0, 10, 1000, 1e5])
+                                 [0, 10, 1000, 1e5], "counts.jsonl")
         ns = [n for _, n, _ in rows]
         assert ns == sorted(ns, reverse=True)
 
@@ -333,7 +333,7 @@ class TestFilterAndSweep:
         with pytest.raises(ValueError, match="^thresholds must be sorted ascending, but 3 "
                                              "comes before 1$"):
             correlation_sweep(distance_matrix(self.vectors()), symmetric_matrix(
-                self.CODES, np.random.default_rng(0)), self.COUNTS, [0, 3, 3, 1])
+                self.CODES, np.random.default_rng(0)), self.COUNTS, [0, 3, 3, 1], "counts.jsonl")
 
 
 class TestTsvFormats:

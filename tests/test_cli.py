@@ -546,7 +546,7 @@ class TestRuntimeFailures:
                      "--corpus", corpus, "--thresholds", "0"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: no document count for language 'bb'\n"
+        assert captured.err == f"error: --corpus {corpus}: no documents for language 'bb'\n"
 
     @pytest.mark.parametrize("lang", ["a", "a1", "ab-cd", "abcdefghi", ""])
     def test_perplexity_names_a_malformed_lang_before_loading(self, tmp_path, capsys, lang):

@@ -6,7 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from moelab.corpus import Document, load_jsonl, sample_batch, synth_corpus, write_jsonl
+from moelab.corpus import (Document, group_by_language, load_jsonl, sample_batch, synth_corpus,
+                           write_jsonl)
 from moelab.errors import FormatError
 from moelab.tokenizer import BOS_ID, EOS_ID, Tokenizer
 
@@ -114,18 +115,24 @@ class TestDocCounts:
 
 
 class TestSampleBatch:
+    def test_groups_by_sorted_language_in_corpus_order(self):
+        groups = group_by_language([Document("de", "1"), Document("en", "2"), Document("de", "3")])
+        assert groups.langs == ["de", "en"]
+        assert [[d.text for d in docs] for docs in groups.docs] == [["1", "3"], ["2"]]
+        assert groups.weights.tolist() == [2 / 3, 1 / 3]
+
     def test_single_language_only(self, byte_tokenizer):
         docs = [Document("en", "abcd") for _ in range(5)]
-        batch = sample_batch(docs, 3, 8, byte_tokenizer, seed=0, step=0)
+        batch = sample_batch(group_by_language(docs), 3, 8, byte_tokenizer, seed=0, step=0)
         assert batch.shape == (3, 9)
         body = set(batch.ravel().tolist()) - {BOS_ID, EOS_ID}
         assert body <= {ord(c) for c in "abcd"}
 
     def test_pure_function_of_seed_and_step(self, byte_tokenizer):
         docs = [Document("en", "abc"), Document("de", "xyz")]
-        a = sample_batch(docs, 4, 10, byte_tokenizer, seed=3, step=7)
-        b = sample_batch(docs, 4, 10, byte_tokenizer, seed=3, step=7)
-        c = sample_batch(docs, 4, 10, byte_tokenizer, seed=3, step=8)
+        a = sample_batch(group_by_language(docs), 4, 10, byte_tokenizer, seed=3, step=7)
+        b = sample_batch(group_by_language(docs), 4, 10, byte_tokenizer, seed=3, step=7)
+        c = sample_batch(group_by_language(docs), 4, 10, byte_tokenizer, seed=3, step=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -133,7 +140,7 @@ class TestSampleBatch:
         # 900 "a"-docs vs 100 "b"-docs; each packed doc contributes one body
         # token, so token shares estimate language draw shares
         docs = [Document("aa", "a")] * 900 + [Document("bb", "b")] * 100
-        batch = sample_batch(docs, 1200, 26, byte_tokenizer, seed=1, step=0)
+        batch = sample_batch(group_by_language(docs), 1200, 26, byte_tokenizer, seed=1, step=0)
         flat = batch.ravel()
         body = flat[(flat != BOS_ID) & (flat != EOS_ID)]
         assert body.size > 10_000
@@ -142,7 +149,7 @@ class TestSampleBatch:
 
     def test_empty_corpus_rejected(self, byte_tokenizer):
         with pytest.raises(ValueError):
-            sample_batch([], 2, 8, byte_tokenizer, seed=0, step=0)
+            sample_batch(group_by_language([]), 2, 8, byte_tokenizer, seed=0, step=0)
 
 
 class TestSynthCorpus:

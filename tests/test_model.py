@@ -155,8 +155,8 @@ class TestForward:
         model = Model(tiny_config(seed=6))
         records = []
 
-        def recording_moe_forward(x, layer):
-            y, stats = moe_forward(x, layer)
+        def recording_moe_forward(x, layer, residual):
+            y, stats = moe_forward(x, layer, residual)
             records.append(stats)
             return y, stats
 

@@ -45,6 +45,11 @@ class TestGate:
             gate(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
 
+def routed(x, layer):
+    """moe_forward onto a zero residual: its output is the combined expert rows, bitwise."""
+    return moe_forward(x, layer, Tensor(np.zeros(x.shape)))
+
+
 def route_probs(probs):
     """Run moe_forward on one-hot token rows through a gate whose softmax
     reproduces `probs` row for row, ties included."""
@@ -52,7 +57,7 @@ def route_probs(probs):
     n_tokens, n_experts = probs.shape
     layer = make_layer(np.random.default_rng(12), d=n_tokens, n_experts=n_experts)
     layer.gate_weight.data = np.log(probs).T.copy()
-    _, stats = moe_forward(Tensor(np.eye(n_tokens)), layer)
+    _, stats = routed(Tensor(np.eye(n_tokens)), layer)
     return stats
 
 
@@ -98,7 +103,7 @@ class TestLoadBalanceStats:
 
     def test_no_tokens_rejected(self):
         with pytest.raises(ValueError):
-            moe_forward(Tensor(np.zeros((0, 4))), make_layer(np.random.default_rng(0), d=4))
+            routed(Tensor(np.zeros((0, 4))), make_layer(np.random.default_rng(0), d=4))
 
 
 class TestAuxLoss:
@@ -119,7 +124,7 @@ class TestAuxLoss:
         layer.gate_weight.data[:] = -50.0
         layer.gate_weight.data[2] = 50.0
         x = np.abs(rng.normal(size=(9, 4))) + 0.5
-        _, stats = moe_forward(Tensor(x), layer)
+        _, stats = routed(Tensor(x), layer)
         assert (stats.selected == 2).all()
         assert stats.balance_loss == reference_balance(x, layer, stats.selected) == 4.0
 
@@ -136,7 +141,7 @@ class TestAuxLoss:
             n = int(rng.integers(1, 9))
             layer = make_layer(rng, d=5, n_experts=n)
             x = rng.normal(size=(int(rng.integers(1, 30)), 5))
-            _, stats = moe_forward(Tensor(x), layer)
+            _, stats = routed(Tensor(x), layer)
             want = reference_balance(x, layer, stats.selected)
             assert abs(stats.balance_loss - want) <= 1e-12 * want
             assert 0.0 < stats.balance_loss <= n + 1e-12
@@ -151,7 +156,7 @@ class TestLazyBalance:
         layer = make_layer(rng, d=4, n_experts=3)
         x = rng.normal(size=(9, 4))
         with no_grad():
-            _, stats = moe_forward(Tensor(x), layer)
+            _, stats = routed(Tensor(x), layer)
         assert "balance" not in vars(stats)
         first = stats.balance
         assert stats.balance is first
@@ -161,9 +166,9 @@ class TestLazyBalance:
         rng = np.random.default_rng(21)
         layer = make_layer(rng, d=4, n_experts=3)
         x = rng.normal(size=(9, 4))
-        _, tracked = moe_forward(Tensor(x), layer)
+        _, tracked = routed(Tensor(x), layer)
         with no_grad():
-            _, untracked = moe_forward(Tensor(x), layer)
+            _, untracked = routed(Tensor(x), layer)
             node = tracked.balance  # read in no_grad, recorded as the forward was
         assert not untracked.balance.requires_grad
         assert node.item() == untracked.balance.item()
@@ -177,7 +182,7 @@ class TestMoeForward:
         layer = make_layer(rng, d=5, n_experts=1)
         for _ in range(10):
             x = Tensor(rng.normal(size=(7, 5)))
-            y, stats = moe_forward(x, layer)
+            y, stats = routed(x, layer)
             dense = ffn_forward(x, layer.experts[0])
             assert np.array_equal(y.data, dense.data)
             assert stats.balance_loss == 1.0
@@ -192,7 +197,7 @@ class TestMoeForward:
             ex.b2.data = layer.experts[0].b2.data.copy()
         layer.gate_weight.data[:] = 0.0
         x = Tensor(rng.normal(size=(6, 4)))
-        y, stats = moe_forward(x, layer)
+        y, stats = routed(x, layer)
         expected = ffn_forward(x, layer.experts[0]).data * 0.25
         assert np.allclose(y.data, expected, atol=1e-15)
         assert (stats.selected == 0).all()  # uniform probs tie-break to expert 0
@@ -203,7 +208,7 @@ class TestMoeForward:
         rng = np.random.default_rng(5)
         layer = make_layer(rng, d=2, n_experts=2)
         x = rng.normal(size=(9, 2))
-        y, stats = moe_forward(Tensor(x), layer)
+        y, stats = routed(Tensor(x), layer)
 
         logits = x @ layer.gate_weight.data.T
         z = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -223,7 +228,7 @@ class TestMoeForward:
         for trial in range(20):
             layer = make_layer(rng, d=3, n_experts=int(rng.integers(1, 6)))
             x = Tensor(rng.normal(size=(int(rng.integers(1, 12)), 3)))
-            _, stats = moe_forward(x, layer)
+            _, stats = routed(x, layer)
             assert stats.selected.shape == (x.shape[0],)
             counts = np.bincount(stats.selected, minlength=layer.n_experts)
             assert len(counts) == layer.n_experts and counts.sum() == x.shape[0]
@@ -241,7 +246,7 @@ class TestMoeForward:
             params += [ex.w1, ex.b1, ex.w2, ex.b2]
 
         def loss():
-            y, stats = moe_forward(Tensor(x), layer)
+            y, stats = routed(Tensor(x), layer)
             return (y * y).sum() + stats.balance * 0.01
 
         assert grad_check(loss, params, h=1e-5, samples=60, seed=1) < 1e-4
@@ -259,14 +264,14 @@ class TestMoeForward:
         else:
             layer.gate_weight.data[0, 0] = 10.0
             layer.gate_weight.data[1:, 0] = -10.0
-        y, stats = moe_forward(Tensor(x), layer)
+        y, stats = routed(Tensor(x), layer)
         counts = np.bincount(stats.selected, minlength=4)
         if skew == "one_expert_idle":
             assert counts[3] == 0 and (counts > 0).sum() >= 2
         else:
             assert counts[0] == len(x)
         perm = rng.permutation(len(x))
-        y_perm, stats_perm = moe_forward(Tensor(x[perm]), layer)
+        y_perm, stats_perm = routed(Tensor(x[perm]), layer)
         assert np.array_equal(y_perm.data, y.data[perm])
         assert np.array_equal(stats_perm.selected, stats.selected[perm])
 
@@ -276,7 +281,7 @@ class TestMoeForward:
         layer.gate_weight.data[0, :] = 5.0   # push every token to expert 0
         layer.gate_weight.data[1, :] = -5.0
         x = Tensor(np.abs(rng.normal(size=(5, 3))))
-        y, stats = moe_forward(x, layer)
+        y, stats = routed(x, layer)
         assert (stats.selected == 0).all()
         (y * y).sum().backward()
         assert layer.experts[0].w1.grad is not None
@@ -289,7 +294,7 @@ class TestMoeForward:
         rng = np.random.default_rng(10)
         layer = make_layer(rng, d=3, n_experts=3)
         x = Tensor(rng.normal(size=(8, 3)))
-        _, stats = moe_forward(x, layer)
+        _, stats = routed(x, layer)
         stats.balance.backward()
         assert layer.gate_weight.grad is not None
         assert np.abs(layer.gate_weight.grad).max() > 0
@@ -302,7 +307,7 @@ class TestMoeForward:
         x = rng.normal(size=(10, 4))
 
         def loss():
-            return moe_forward(Tensor(x), layer)[1].balance
+            return routed(Tensor(x), layer)[1].balance
 
         # only the gate weight is differentiable here; token assignments are
         # locally constant almost everywhere so FD stays clean
@@ -320,25 +325,34 @@ class TestCombine:
         counts = np.bincount(self.SELECTED, minlength=4)
         runs = [Tensor(rng.normal(size=(c, 3)), requires_grad=True) for c in counts if c]
         probs = Tensor(rng.uniform(0.1, 1.0, size=(len(self.SELECTED), 4)), requires_grad=True)
-        return runs, probs
+        residual = Tensor(rng.normal(size=(len(self.SELECTED), 3)), requires_grad=True)
+        return runs, probs, residual
 
     def test_scatters_to_token_order_and_scales_bitwise(self):
-        runs, probs = self.inputs(30)
-        out = combine(runs, self.ORDER, probs, self.SELECTED)
+        runs, probs, residual = self.inputs(30)
+        out = combine(runs, self.ORDER, probs, self.SELECTED, residual)
         stacked = np.concatenate([r.data for r in runs])
         rows = np.arange(len(self.SELECTED))
-        want = stacked[np.argsort(self.ORDER)] * probs.data[rows, self.SELECTED][:, None]
-        assert np.array_equal(out.data, want)
+        scaled = stacked[np.argsort(self.ORDER)] * probs.data[rows, self.SELECTED][:, None]
+        assert np.array_equal(out.data, residual.data + scaled)
+
+    def test_output_takes_the_residual_shape(self):
+        runs, probs, residual = self.inputs(32)
+        flat = combine(runs, self.ORDER, probs, self.SELECTED, residual)
+        shaped = combine(runs, self.ORDER, probs, self.SELECTED, residual.reshape(1, 7, 3))
+        assert shaped.shape == (1, 7, 3) and np.array_equal(shaped.data[0], flat.data)
+        with pytest.raises(ShapeError, match="must hold 7 rows of width 3, got shape"):
+            combine(runs, self.ORDER, probs, self.SELECTED, Tensor(np.zeros((7, 4))))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_finite_differences_with_an_idle_expert(self, seed):
-        runs, probs = self.inputs(31 + seed)
+        runs, probs, residual = self.inputs(31 + seed)
         weights = np.random.default_rng(seed).normal(size=(len(self.SELECTED), 3))
 
         def loss():
-            return (combine(runs, self.ORDER, probs, self.SELECTED) * weights).sum()
+            return (combine(runs, self.ORDER, probs, self.SELECTED, residual) * weights).sum()
 
-        assert grad_check(loss, [*runs, probs], h=1e-5, samples=60, seed=seed) < 1e-6
+        assert grad_check(loss, [*runs, probs, residual], h=1e-5, samples=60, seed=seed) < 1e-6
         loss().backward()
         picked = np.zeros(probs.shape, dtype=bool)
         picked[np.arange(len(self.SELECTED)), self.SELECTED] = True
@@ -350,13 +364,13 @@ class TestCombine:
         x = rng.normal(size=(12, 4))
         x[:, 0] = 1.0
         layer.gate_weight.data[2, 0] = -10.0  # expert 2 starves
-        _, stats = moe_forward(Tensor(x), layer)
+        _, stats = routed(Tensor(x), layer)
         assert stats.token_fraction[2] == 0 and (stats.token_fraction[:2] > 0).all()
         params = [layer.gate_weight] + [p for ex in layer.experts[:2]
                                         for p in (ex.w1, ex.b1, ex.w2, ex.b2)]
 
         def loss():
-            y, stats = moe_forward(Tensor(x), layer)
+            y, stats = routed(Tensor(x), layer)
             return (y * y).sum() + stats.balance * 0.01
 
         assert grad_check(loss, params, h=1e-5, samples=60, seed=2) < 1e-4

@@ -1,5 +1,6 @@
 """Tensor engine: op-level oracles plus finite-difference gradient checks."""
 
+import ast
 import hashlib
 import math
 import re
@@ -415,6 +416,84 @@ def test_every_caller_refuses_a_malformed_id_in_the_same_words(caller, case):
         call(ids)
 
 
+FUZZ_CALLERS = {  # as ID_CALLERS, with targets for a fixed (2, 3) batch of positions
+    **ID_CALLERS,
+    "cross_entropy": (lambda ids: cross_entropy(Tensor(np.zeros((2, 3, 4))),
+                                                Tensor(np.zeros((128, 4))), ids), "target", 128),
+}
+SHAPE_REFUSALS = {  # what each caller says of ids whose entries pass but whose shape does not
+    "forward": r"tokens must be a sequence or batch of sequences, got shape \(.*\)"
+               r"|empty token sequence",
+    "cross_entropy": r"targets shape \(.*\) does not align with x \(2, 3, 4\)",
+    "decode": r"decode takes one sequence of ids, got shape \(.*\)",
+    "generate": r"a prompt is one sequence of ids, got shape \(.*\)|empty prompt",
+}
+DAMAGE = [[5], [[5]], [], True, False, np.bool_(True), 1.0, 2.5, float("nan"), np.float64(7.0),
+          2**70, -2**70, np.int64(3), None, "3"]
+
+
+def damaged_ids(rng):
+    """Seeded ids, some past the bound: a sequence, a (2, 3) batch, a ragged batch or
+    a scalar, most often with one entry replaced by a DAMAGE value, and sometimes
+    turned into whatever array numpy makes of them."""
+    ids = rng.integers(0, 140, size=(2, 3)).tolist()
+    shape = int(rng.integers(4))
+    if shape == 0:
+        ids = ids[0]
+    elif shape == 1:
+        ids[1].append(int(rng.integers(128)))
+    elif shape == 2:
+        ids = ids[0][0]
+    if rng.random() < 0.8:
+        bad = DAMAGE[int(rng.integers(len(DAMAGE)))]
+        if shape == 2:
+            ids = bad
+        else:
+            row = ids if shape == 0 else ids[int(rng.integers(len(ids)))]
+            row[int(rng.integers(len(row)))] = bad
+    if rng.random() < 0.3:
+        try:
+            ids = np.asarray(ids)
+        except (ValueError, OverflowError):  # ragged or nested lists, or an int past int64
+            pass
+    return ids
+
+
+@pytest.mark.parametrize("caller", sorted(FUZZ_CALLERS))
+def test_damaged_ids_pass_or_are_named_by_argument_and_position(caller):
+    """Every caller of check_ids either accepts seeded damaged ids or raises a
+    ValueError naming the argument and, for a bad entry, the position that
+    holds it, whose entry the message quotes."""
+    call, noun, bound = FUZZ_CALLERS[caller]
+    entry_error = re.compile(rf"{noun} (?:(-?\d+) )?at position (\d+|\(.*?\)) "
+                             rf"(?:is not an integer: (.+)|outside \[0, {bound}\))")
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(300):
+        ids = damaged_ids(rng)
+        try:
+            call(ids)
+            outcomes.add("accepted")
+            continue
+        except ValueError as exc:
+            message = str(exc)
+        found = entry_error.fullmatch(message)
+        if found is None:
+            assert re.fullmatch(SHAPE_REFUSALS[caller], message), message
+            outcomes.add("shape")
+            continue
+        value, pos, quoted = found.groups()
+        pos = ast.literal_eval(pos)
+        entry = np.asarray(ids, dtype=object)[pos]
+        if quoted is None:
+            assert entry == int(value) and not 0 <= entry < bound, message
+            outcomes.add("outside")
+        else:
+            assert quoted == repr(entry), message
+            outcomes.add("not an integer")
+    assert outcomes == {"accepted", "shape", "outside", "not an integer"}
+
+
 def test_cross_entropy_names_a_ragged_target_row():
     with pytest.raises(ValueError, match=r"^target at position 0 is not an integer: \[1\]$"):
         cross_entropy(Tensor(np.zeros((2, 2, 4))), Tensor(np.zeros((5, 4))), [[1], [2, 3]])
@@ -520,9 +599,9 @@ class TestBackwardUsesGraph:
         loss = total_loss(model.forward(ids[:, :-1]), ids[:, 1:], model.config.alpha).node
         nodes = graph_nodes(loss)
         interior = [n for n in nodes if n._backward is not None]
-        # test_train_graph_node_count's 41 op nodes, which route to two experts,
+        # test_train_graph_node_count's 36 op nodes, which route to two experts,
         # plus the row pick and feed_forward of the third expert this batch reaches
-        assert len(interior) == 41 + 2
+        assert len(interior) == 36 + 2
         loss.backward()
         assert all(n.grad is None and n._backward is None and n._parents is None
                    for n in interior)
@@ -769,11 +848,51 @@ REUSE_CASES = {
     "tied_embedding": ([(5, 3), (3,)], [0, 0, 1],
                        lambda u: cross_entropy(embedding(u[0], TIED_IDS) + u[2], u[1],
                                                TIED_TARGETS)),
-    "combine_runs": ([(2, 3), (3, 3), (7, 3)], [0, 1, 0, 2],
-                     lambda u: square_sum(combine(u[:3], COMBINE_ORDER, u[3], COMBINE_SELECTED))),
+    "combine_runs": ([(2, 3), (3, 3), (7, 3)], [0, 1, 0, 2, 2],
+                     lambda u: square_sum(combine(u[:3], COMBINE_ORDER, u[3], COMBINE_SELECTED,
+                                                  u[4]))),
+    "residual_is_the_input": ([(3, 3), (3, 3), (3,)], [0, 1, 2, 0, 0],
+                              lambda u: square_sum(linear(linear(u[0], u[1], u[2], residual=u[3]),
+                                                          u[4]))),
     "attention_shared_projection": ([(1, 3, 4), (1, 3, 4)], [0, 0, 0, 1],
                                     lambda u: (attention(u[0], u[1], u[2], 2) * u[3]).sum()),
 }
+
+
+def combine_branch(*u, residual=None):
+    """combine over three runs; without a residual, onto zeros, which leave its bits."""
+    return combine(u[:3], COMBINE_ORDER, u[3], COMBINE_SELECTED,
+                   Tensor(np.zeros((7, 3))) if residual is None else residual)
+
+
+RESIDUAL_OPS = {  # name: (the branch op, its parents' shapes and then the residual's)
+    "linear": (linear, [(2, 3, 4), (4, 5), (5,), (2, 3, 5)]),
+    "feed_forward": (feed_forward, [(2, 3, 4), (4, 6), (6,), (6, 4), (4,), (2, 3, 4)]),
+    "combine": (combine_branch, [(2, 3), (3, 3), (2, 3), (7, 3), (7, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUAL_OPS))
+def test_a_residual_argument_equals_adding_the_residual_to_the_branch_bitwise(name):
+    """An op that adds its residual into its own output gives residual + branch
+    to the last bit, and every parent the gradient the separate __add__ gave."""
+    op, shapes = RESIDUAL_OPS[name]
+    rng = np.random.default_rng(71)
+    data = [rng.normal(size=shape) for shape in shapes]
+    weights = rng.normal(size=shapes[-1])
+
+    def run(fused):
+        *branch, residual = ts = [Tensor(a.copy(), requires_grad=True) for a in data]
+        out = op(*branch, residual=residual) if fused else residual + op(*branch)
+        (out * weights).sum().backward()
+        return [out.data] + [t.grad for t in ts]
+
+    assert all(np.array_equal(a, b) for a, b in zip(run(True), run(False), strict=True))
+    ts = [Tensor(a, requires_grad=True) for a in data]
+    assert grad_check(lambda: square_sum(op(*ts[:-1], residual=ts[-1])), ts,
+                      h=1e-5, samples=60, seed=1) < 1e-5
+    with pytest.raises(ShapeError, match="residual must"):
+        op(*ts[:-1], residual=Tensor(np.zeros(shapes[-1][:-1] + (1,))))
 
 
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))

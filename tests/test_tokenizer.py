@@ -242,7 +242,7 @@ def test_load_names_the_path_of_a_byte_that_is_not_utf8(tmp_path):
     path.write_bytes(json.dumps(_valid_payload()).encode().replace(b'"version"', b'"\xffversion"'))
     with pytest.raises(FormatError) as exc:
         Tokenizer.load(str(path))
-    assert str(exc.value).startswith(f"cannot read tokenizer file {path}: 'utf-8' codec can't "
+    assert str(exc.value).startswith(f"{path}: cannot read tokenizer file: 'utf-8' codec can't "
                                      "decode byte 0xff")
 
 

@@ -37,6 +37,22 @@ def injected_output(balances, rows=3, vocab=8, width=5):
                          moe_stats=[routing_record(b) for b in balances])
 
 
+def tiny_train_graph():
+    """tiny_config()'s model, its forward on one seeded (2, 8) batch, and every
+    node its training loss reaches, the loss included."""
+    model = Model(tiny_config())
+    batch = np.random.default_rng(0).integers(0, 512, size=(2, 9))
+    out = model.forward(batch[:, :-1])
+    root = total_loss(out, batch[:, 1:], alpha=0.01).node
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return model, out, list(seen.values())
+
+
 class TestTotalLoss:
     def test_alpha_zero_total_equals_lm(self):
         out = injected_output([1.0, 1.0])
@@ -114,24 +130,16 @@ class TestTotalLoss:
     def test_train_graph_node_count(self):
         """Timing-free guard on the train step's graph: each projection is one
         linear node, each attention, feed-forward block and MoE combine one
-        node, so per-op fallbacks add nodes."""
-        model = Model(tiny_config())
-        batch = np.random.default_rng(0).integers(0, 512, size=(2, 9))
-        out = model.forward(batch[:, :-1])
-        root = total_loss(out, batch[:, 1:], alpha=0.01).node
-        seen, stack = {id(root)}, [root]
-        while stack:
-            for parent in stack.pop()._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
+        node, and the out projection, the feed-forward block and the combine
+        add the residual stream in, so per-op fallbacks add nodes."""
+        model, out, nodes = tiny_train_graph()
         assert [int((s.token_fraction > 0).sum()) for s in out.moe_stats] == [2]
         ops = {
             "token lookup, position slice, their sum": 3,
-            "2 layers: ln1, q, k, v, attention, out projection, residual": 2 * 7,
-            "dense block: ln2, feed_forward, residual": 3,
-            "MoE block: ln2, reshape, gate transpose and linear, softmax, combine, "
-            "reshape, residual": 8,
+            "2 layers: ln1, q, k, v, attention, out projection plus residual": 2 * 6,
+            "dense block: ln2, feed_forward plus residual": 2,
+            "MoE block: ln2, reshape, gate transpose and linear, softmax, "
+            "combine plus residual": 6,
             "2 active experts: row pick, feed_forward": 2 * 2,
             "balance loss: sum over tokens, * 1/T, p * f, sum, * N": 5,
             "head: lnf, cross-entropy with the tied logits": 2,
@@ -139,7 +147,22 @@ class TestTotalLoss:
         }
         constants = 4  # 1/T, f, N and alpha
         params = model.named_parameters()  # all 41 are on the loss path
-        assert len(seen) == len(params) + constants + sum(ops.values())
+        assert len(nodes) == len(params) + constants + sum(ops.values())
+
+    def test_train_graph_array_bytes(self):
+        """Timing-free memory guard on the same graph: the bytes of the distinct
+        arrays behind its nodes' values, parameters included. The residual
+        stream is each block's output buffer, so no branch output is held; one
+        held again adds a (2, 8, 16) float64 array, 2048 bytes, and fails here.
+        Separate adds held all four and read 189440."""
+        _, _, nodes = tiny_train_graph()
+        bases = {}
+        for node in nodes:
+            a = node.data
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a
+        assert sum(a.nbytes for a in bases.values()) == 181248
 
 
 class TestLrSchedule:
@@ -220,7 +243,7 @@ class TestTrainer:
             trainers.append(tr)
         by_run, by_step = trainers
         want = by_run.run(1)[0]
-        batch = trainer_mod.sample_batch(by_step.docs, 2, by_step.seq_len, by_step.tokenizer,
+        batch = trainer_mod.sample_batch(by_step.groups, 2, by_step.seq_len, by_step.tokenizer,
                                          8, by_step.step)
         got = by_step.train_step(batch)
         assert got == want
