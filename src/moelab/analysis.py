@@ -98,10 +98,11 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
     routing records: no parameter is touched and no logits are built. Each
     sequence routes on its own, so CHUNK changes no count, only the working
     set. At the desk shape (128 positions, d_model 128) the analyze
-    benchmark's peak RSS read 109.7 MB at 16 sequences per forward, 87.4 MB
-    at 8, 74.9 MB at 4 and 69.4 MB at 2, and its op time was least at 4
-    (146.8 ms per language against 173.0 ms at 16 and 151.6 ms at 2, best of
-    8 interleaved rounds, one BLAS thread); hence CHUNK = 4.
+    benchmark's peak RSS read 110.1 MB at 16 sequences per forward, 86.8 MB
+    at 8, 76.1 MB at 4 and 69.1 MB at 2 (medians of three 25 s runs), and its
+    op time was least at 4 (134.5 ms per language against 139.0 ms at 8,
+    146.9 ms at 16 and 145.3 ms at 2, best of 20 interleaved rounds, one BLAS
+    thread); hence CHUNK = 4.
     Deterministic for a given seed; each language draws from its own
     substream. A sequences_per_lang below 1 raises ValueError before any
     encode or forward.

@@ -360,11 +360,15 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     return Tensor._op(out, parents, bwd)
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Numerically stabilized softmax along the last axis (max subtraction)."""
+def softmax(x: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """Numerically stabilized softmax along the last axis (max subtraction).
+
+    The probabilities are written into `out` when it is given, which may be
+    x.data itself for a caller that no longer reads x (attention's scores).
+    """
     if x.data.size == 0:
         raise ValueError("softmax of empty input")
-    p = x.data - x.data.max(axis=-1, keepdims=True)
+    p = np.subtract(x.data, x.data.max(axis=-1, keepdims=True), out=out)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
@@ -457,19 +461,20 @@ def check_ids(ids, bound: int, noun: str) -> np.ndarray:
     Anything but an integer ndarray is walked element by element before numpy
     can cast it, so a bool, a float or any other non-int is refused as it
     stands. ValueError names the first bad id, in the words of `noun`, by its
-    position: an index for a sequence and an index tuple for a batch.
+    position: an index for a sequence, an index tuple for a batch, and none
+    for a scalar.
     """
     if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
         ids = np.asarray(ids, dtype=object)
         for pos, x in np.ndenumerate(ids):
             if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-                raise ValueError(f"{noun} at position {pos[0] if ids.ndim == 1 else pos} "
-                                 f"is not an integer: {x!r}")
+                at = f" at position {pos[0] if len(pos) == 1 else pos}" if pos else ""
+                raise ValueError(f"{noun}{at} is not an integer: {x!r}")
     bad = (ids < 0) | (ids >= bound)
     if bad.any():
         pos = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"{noun} {ids[pos]} at position {pos[0] if ids.ndim == 1 else pos} "
-                         f"outside [0, {bound})")
+        at = f" at position {pos[0] if len(pos) == 1 else pos}" if pos else ""
+        raise ValueError(f"{noun} {ids[pos]}{at} outside [0, {bound})")
     return ids.astype(np.int64, copy=False)
 
 

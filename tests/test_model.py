@@ -11,8 +11,8 @@ import pytest
 
 from moelab import model as model_mod
 from moelab.errors import ConfigError, ShapeError
-from moelab.model import (FFN_MULTIPLIER, KVCache, Model, ModelConfig, desk_config, generate,
-                          moe_layer_indices, param_count)
+from moelab.model import (FFN_MULTIPLIER, QUERY_BLOCK, KVCache, Model, ModelConfig, desk_config,
+                          generate, moe_layer_indices, param_count)
 from moelab.moe import moe_forward
 from moelab.tensor import linear, no_grad
 
@@ -409,6 +409,19 @@ class TestGenerate:
                 p = np.exp(last / temperature - (last / temperature).max())
                 ids.append(int(rng.choice(len(p), p=p / p.sum())))
         assert generate(model, prompt, new_tokens, temperature=temperature, seed=11) == ids
+
+    def test_greedy_matches_one_full_forward_across_query_blocks(self):
+        """The prefill of a prompt longer than one query block spans two blocks,
+        and the one-query steps run past the next block edge; one full forward
+        over the result, three blocks, picks every generated id again."""
+        config = tiny_config(max_seq_len=3 * QUERY_BLOCK, seed=4)
+        model = Model(config)
+        prompt = np.random.default_rng(4).integers(0, config.vocab_size, QUERY_BLOCK + 3).tolist()
+        ids = generate(model, prompt, config.max_seq_len - len(prompt))
+        with no_grad():
+            logits = model.forward(np.asarray(ids[:-1])).logits.data
+        assert ids[:len(prompt)] == prompt
+        assert ids[len(prompt):] == logits[len(prompt) - 1:].argmax(axis=-1).tolist()
 
 
 def decode_in_steps(model, tokens, prefill):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from moelab.errors import GraphConsumedError, ShapeError
-from moelab.model import Model, attention, desk_config, generate
+from moelab.model import QUERY_BLOCK, Model, attention, desk_config, generate
 from moelab.optim import CLIP_NORM, AdamState, adam_step, clip_global_norm
 from moelab.moe import combine
 from moelab.optim import BETA1, BETA2, EPS
@@ -106,6 +106,19 @@ class TestSoftmax:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             softmax(Tensor(np.zeros(0)))
+
+    def test_out_receives_the_probabilities_bitwise(self):
+        """softmax into x's own buffer gives the bits and the gradient of a
+        fresh one, and the result holds that buffer."""
+        rng = np.random.default_rng(8)
+        v, g = rng.normal(scale=5.0, size=(2, 3, 7)), rng.normal(size=(2, 3, 7))
+        fresh, x = Tensor(v.copy(), requires_grad=True), Tensor(v.copy(), requires_grad=True)
+        expected = softmax(fresh)
+        got = softmax(x, out=x.data)
+        assert got.data is x.data and np.array_equal(got.data, expected.data)
+        (expected * g).sum().backward()
+        (got * g).sum().backward()
+        assert np.array_equal(x.grad, fresh.grad)
 
 
 def gelu_formula(x):
@@ -397,6 +410,8 @@ MALFORMED_IDS = {  # case: (ids, message after the caller's noun)
     "wide": ([5, 2**70], "1180591620717411303424 at position 1 outside [0, {bound})"),
     "batch_float": ([[1, 2], [3, 2.5]], "at position (1, 1) is not an integer: 2.5"),
     "ragged": ([[1], [2, 3]], "at position 0 is not an integer: [1]"),
+    "scalar_float": (2.5, "is not an integer: 2.5"),  # a scalar has no position to name
+    "scalar_wide": (300, "300 outside [0, {bound})"),
 }
 ONE_SEQUENCE = ("decode", "generate")  # callers that refuse a batch by its shape
 
@@ -463,9 +478,9 @@ def damaged_ids(rng):
 def test_damaged_ids_pass_or_are_named_by_argument_and_position(caller):
     """Every caller of check_ids either accepts seeded damaged ids or raises a
     ValueError naming the argument and, for a bad entry, the position that
-    holds it, whose entry the message quotes."""
+    holds it (none for a scalar), whose entry the message quotes."""
     call, noun, bound = FUZZ_CALLERS[caller]
-    entry_error = re.compile(rf"{noun} (?:(-?\d+) )?at position (\d+|\(.*?\)) "
+    entry_error = re.compile(rf"{noun}(?: (-?\d+))?(?: at position (\d+|\(.*?\)))? "
                              rf"(?:is not an integer: (.+)|outside \[0, {bound}\))")
     rng = np.random.default_rng(29)
     outcomes = set()
@@ -483,8 +498,9 @@ def test_damaged_ids_pass_or_are_named_by_argument_and_position(caller):
             outcomes.add("shape")
             continue
         value, pos, quoted = found.groups()
-        pos = ast.literal_eval(pos)
-        entry = np.asarray(ids, dtype=object)[pos]
+        entries = np.asarray(ids, dtype=object)
+        assert (pos is None) == (entries.ndim == 0), message  # only a scalar has no position
+        entry = entries[() if pos is None else ast.literal_eval(pos)]
         if quoted is None:
             assert entry == int(value) and not 0 <= entry < bound, message
             outcomes.add("outside")
@@ -611,8 +627,11 @@ class TestBackwardUsesGraph:
         """Logits, losses, balance values, routing, every gradient and a greedy
         continuation of one desk-shape step. The logits, loss, balance and
         gradient digests were re-taken when GELU became the tanh form (routing
-        and the greedy ids kept theirs), with numpy 2.4 and OpenBLAS 0.3.31 on
-        x86-64; another BLAS build may round matrix products differently."""
+        and the greedy ids kept theirs), and the logits and gradient digests
+        again when attention began scoring in query blocks (the largest change
+        was 1.1e-15 of the largest logit and 1.4e-15 of the largest gradient),
+        with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another BLAS build may
+        round matrix products differently."""
         def sha(*arrays):
             h = hashlib.sha256()
             for a in arrays:
@@ -637,11 +656,11 @@ class TestBackwardUsesGraph:
             "grads": grads.hexdigest(),
             "greedy": sha(np.array(greedy)),
         } == {
-            "logits": "1f41c1ee2eeb8d194e332b6f2431f155e4c82b54e2ab2649cfcd94c1ea6d729b",
+            "logits": "7e11edc96cb1f733d45a8db010c9ea35bd515834676c6018386e48c8c5b1fede",
             "loss": "91aab80e0610b3e29ff16582508f4ad0b5686e9c00606f93888856b8017d1526",
             "balance": "2d1a67927a95246228a703b057900f385458c71b67e70e7bf6389264bda873e6",
             "selected": "c89e480e447ea9c36f79f627f9e49a54a98baf021730092acf7a46ca5848bb18",
-            "grads": "1f7862570c8a4f8658333cc8c160b5c839fe8a84344b5ee09024845b89035ac8",
+            "grads": "abfe8c3a7b82b269e06d8176e535a995fe07acd9f80555c8d77352a3f812a29d",
             "greedy": "23f10c6fbbeb56a793f2418f1e88011dc8bf2ec51c52610ee391824ae61e5146",
         }
 
@@ -819,21 +838,56 @@ def attention_reference(q, k, v, n_heads):
     return out
 
 
-@pytest.mark.parametrize("past", [0, 3], ids=["causal", "offset"])
-def test_attention_matches_reference_and_finite_differences(past):
-    rng = np.random.default_rng(50 + past)
-    b, t, d, n_heads = 2, 3, 4, 2
-    q = Tensor(rng.normal(size=(b, t, d)), requires_grad=True)
-    k = Tensor(rng.normal(size=(b, past + t, d)), requires_grad=True)
-    v = Tensor(rng.normal(size=(b, past + t, d)), requires_grad=True)
-    weights = rng.normal(size=(b, t, d))
-    out = attention(q, k, v, n_heads)
-    assert np.max(np.abs(out.data - attention_reference(q.data, k.data, v.data, n_heads))) < 1e-12
+ATTENTION_SHAPES = {  # name: (queries T, cached keys before them)
+    "one_block": (3, 0),
+    "one_block_after_cache": (3, 3),
+    "blocks": (2 * QUERY_BLOCK + 5, 0),  # two whole query blocks and a ragged third
+    "blocks_after_cache": (2 * QUERY_BLOCK + 5, 3),  # a chunked prefill onto a cache
+    "last_block_of_two": (QUERY_BLOCK + 2, 4),  # the smallest block that masks
+    "decode_step": (1, 70),  # one query, one block
+}
+
+
+def attention_inputs(t, past, seed):
+    rng = np.random.default_rng(seed)
+    b, d = 2, 4
+    return [Tensor(rng.normal(size=(b, rows, d)), requires_grad=True)
+            for rows in (t, past + t, past + t)]
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_SHAPES))
+def test_attention_matches_reference_and_finite_differences(name):
+    """One block, several blocks with a ragged last one, each from no cache
+    and after a cache, and a decode step: the output within 1e-12 of the
+    per-query loops, and every input's gradient against finite differences."""
+    t, past = ATTENTION_SHAPES[name]
+    q, k, v = attention_inputs(t, past, seed=60 + t + past)
+    out = attention(q, k, v, 2)
+    assert np.max(np.abs(out.data - attention_reference(q.data, k.data, v.data, 2))) < 1e-12
+    weights = np.random.default_rng(61).normal(size=out.shape)
 
     def loss():
-        return (attention(q, k, v, n_heads) * weights).sum()
+        return (attention(q, k, v, 2) * weights).sum()
 
-    assert grad_check(loss, [q, k, v], h=1e-5, samples=45, seed=past) < 1e-4
+    assert grad_check(loss, [q, k, v], h=1e-5, samples=60, seed=past) < 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(ATTENTION_SHAPES))
+def test_attention_keeps_only_the_probabilities_each_query_block_sees(name):
+    """Block [s, e) keeps B x heads x (e - s) x (past + e) probabilities, so the
+    node holds no (T, past + T) matrix: for 69 queries from 0 that is 3417
+    entries per head and batch row, against 4761 for the whole square."""
+    t, past = ATTENTION_SHAPES[name]
+    q, k, v = attention_inputs(t, past, seed=62)
+    node = attention(q, k, v, 2)
+    held = []
+    for cell in node._backward.__closure__:
+        items = cell.cell_contents if isinstance(cell.cell_contents, list) else [cell.cell_contents]
+        held += [a for a in items if isinstance(a, np.ndarray)
+                 and not any(np.shares_memory(a, x.data) for x in (q, k, v))]
+    seen = sum((min(s + QUERY_BLOCK, t) - s) * (past + min(s + QUERY_BLOCK, t))
+               for s in range(0, t, QUERY_BLOCK))
+    assert sum(a.size for a in held) == 2 * 2 * seen
 
 
 TIED_IDS, TIED_TARGETS = np.array([1, 4, 1]), np.array([0, 2, 3])
