@@ -20,9 +20,9 @@ from numpy.random import default_rng
 
 from .errors import FormatError, ShapeError
 from .fileio import atomic_write_text, read_lines
-from .tensor import no_grad
+from .tensor import no_grad, thread_map
 
-CHUNK = 4  # sequences per no-grad forward in collect_activations; see there
+CHUNK = 2  # sequences per no-grad forward in collect_activations; see there
 
 
 @dataclass
@@ -94,15 +94,18 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
                         seed: int, languages: list[str] | None = None) -> list[ActivationVector]:
     """Count routed tokens per (MoE layer, expert) pair for each language.
 
-    Runs no-grad forwards of up to CHUNK sequences and reads only their
-    routing records: no parameter is touched and no logits are built. Each
-    sequence routes on its own, so CHUNK changes no count, only the working
-    set. At the desk shape (128 positions, d_model 128) the analyze
-    benchmark's peak RSS read 110.1 MB at 16 sequences per forward, 86.8 MB
-    at 8, 76.1 MB at 4 and 69.1 MB at 2 (medians of three 25 s runs), and its
-    op time was least at 4 (134.5 ms per language against 139.0 ms at 8,
-    146.9 ms at 16 and 145.3 ms at 2, best of 20 interleaved rounds, one BLAS
-    thread); hence CHUNK = 4.
+    Runs no-grad forwards of up to CHUNK sequences, WORKERS at a time on
+    tensor.thread_map's threads, and reads only their routing records: no
+    parameter is touched and no logits are built. Each sequence routes on its
+    own and the chunks' counts are summed in chunk order, so neither CHUNK
+    nor WORKERS changes a count, only the working set and the time. At the
+    desk shape (128 positions, d_model 128) on 2 workers, the analyze
+    benchmark's peak RSS read 70.8 MB at CHUNK 1, 76.8 MB at 2 and 88.7 MB
+    at 4 (medians of three 25 s runs), and its op time was 128.4, 103.4 and
+    94.0 ms per language, against 168.9 ms on one worker at CHUNK 4 (best of
+    20 interleaved rounds, one BLAS thread, 2-core Xeon). CHUNK = 2 keeps
+    WORKERS x CHUNK = 4 sequences in flight, as one worker at CHUNK 4 did:
+    10% slower than CHUNK 4 on 2 workers, for 12 MB less.
     Deterministic for a given seed; each language draws from its own
     substream. A sequences_per_lang below 1 raises ValueError before any
     encode or forward.
@@ -127,17 +130,19 @@ def collect_activations(model, tokenizer, docs, sequences_per_lang: int, seq_len
         one = LanguageGroups([lang], [groups.docs[i]], np.ones(1))
         seqs = pack_sequences(one, sequences_per_lang, seq_len, tokenizer, rng)
         seqs = seqs[:, :seq_len]  # routing needs inputs only, no shifted targets
-        counts = 0
-        for start in range(0, len(seqs), CHUNK):
-            with no_grad():
-                out = model.forward(seqs[start:start + CHUNK])
+
+        def route(start: int) -> np.ndarray:
+            """The (MoE layers, experts) counts of the chunk that begins at `start`."""
+            out = model.forward(seqs[start:start + CHUNK])
             for layer, stats in enumerate(out.moe_stats):  # NaN gate probabilities argmax to 0
                 if not math.isfinite(stats.balance_loss):
                     raise FloatingPointError(
                         f"language {lang!r}: MoE layer {layer} routes from non-finite gate "
                         f"probabilities (balance loss {stats.balance_loss})")
-            counts += np.stack(
-                [np.bincount(s.selected, minlength=n_experts) for s in out.moe_stats])
+            return np.stack([np.bincount(s.selected, minlength=n_experts) for s in out.moe_stats])
+
+        with no_grad():
+            counts = sum(thread_map(route, range(0, len(seqs), CHUNK)))
         vectors.append(ActivationVector(lang, counts))
     return vectors
 

@@ -1,14 +1,16 @@
 """Routing analysis: activation vectors, distances, correlation, TSV formats."""
 
 import hashlib
+import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from moelab import analysis
+from moelab import analysis, tensor
 from moelab.analysis import (ActivationVector, DistanceMatrix, collect_activations,
                              correlation_sweep, distance_matrix, format_sweep_tsv,
                              heatmap_rows, pearson, read_matrix_tsv, write_heatmap_tsv,
@@ -94,19 +96,39 @@ class TestCollectActivations:
         for i, v in enumerate(vectors):
             assert np.array_equal(v.counts, sum(from_forward[chunks * i:chunks * (i + 1)]))
 
-    def test_chunk_size_does_not_change_counts(self, tiny_setup, monkeypatch):
-        """Each sequence routes on its own, so how many share a forward is not seen
-        in the counts; 22 sequences leave a partial last chunk at both sizes."""
+    def test_chunk_size_does_not_change_counts(self, tiny_setup, monkeypatch, tmp_path):
+        """Each sequence routes on its own, so neither how many share a forward
+        nor how many threads run the forwards is seen in the counts or in the
+        analyze-routing files; 21 sequences leave a partial last chunk at CHUNK
+        2 and 4, and 3 workers are more than a 2-core host has cores. A short
+        switch interval makes the threads swap often."""
         _, tok, docs, _ = tiny_setup
         model = Model(ModelConfig(n_layers=2, d_model=16, n_heads=2, max_seq_len=16,
                                   vocab_size=300, n_experts=3, seed=6))
-        counts = []
-        for chunk in (16, 4):
-            monkeypatch.setattr(analysis, "CHUNK", chunk)
-            counts.append([v.counts for v in collect_activations(model, tok, docs, 22, 12,
-                                                                 seed=2)])
-        assert all(np.array_equal(a, b) for a, b in zip(*counts))
-        assert all((c[:, 1:] > 0).any() for c in counts[0])  # not everything on expert 0
+        files = {"vectors.tsv": write_vectors_tsv, "heatmap.tsv": write_heatmap_tsv,
+                 "distance.tsv": lambda vectors, path: write_matrix_tsv(
+                     distance_matrix(vectors), path)}
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers, chunk in itertools.product((1, 2, 3), (1, 2, 4)):
+                monkeypatch.setattr(tensor, "WORKERS", workers)
+                monkeypatch.setattr(analysis, "CHUNK", chunk)
+                vectors = collect_activations(model, tok, docs, 21, 12, seed=2)
+                out = tmp_path / f"{workers}x{chunk}"
+                out.mkdir()
+                for name, write in files.items():
+                    write(vectors, str(out / name))
+                runs[workers, chunk] = ([v.counts for v in vectors],
+                                        {name: (out / name).read_bytes() for name in files})
+        finally:
+            sys.setswitchinterval(interval)
+        counts, written = runs[1, 1]
+        for key, (other_counts, other_written) in runs.items():
+            assert all(np.array_equal(a, b) for a, b in zip(counts, other_counts, strict=True)), key
+            assert other_written == written, key
+        assert all((c[:, 1:] > 0).any() for c in counts)  # not everything on expert 0
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_sequence_count_below_one_rejected_before_any_work(self, tiny_setup, n,

@@ -355,16 +355,26 @@ class TestRuntimeFailures:
         assert not out_dir.exists()
 
     def test_analyze_routing_refuses_non_finite_routing_and_writes_nothing(
-            self, workspace, tmp_path, capsys):
+            self, workspace, tmp_path, capsys, monkeypatch):
+        """Each language routes three chunks on two workers, and every chunk
+        raises: the first chunk's error is the one reported, and the workers
+        are joined before main returns."""
+        import threading
+
+        from moelab import analysis, tensor
         from moelab.checkpoint import read_checkpoint, write_checkpoint
         header, tensors = read_checkpoint(workspace["ckpt"])
         tensors["layers.0.attn.wq"][0, 0] = np.nan  # every gate probability becomes NaN
         ckpt = str(tmp_path / "nan.ckpt")
         write_checkpoint(ckpt, header, tensors)
         out_dir = tmp_path / "routing"
+        monkeypatch.setattr(tensor, "WORKERS", 2)
+        threads = threading.active_count()
         assert main(["analyze-routing", "--checkpoint", ckpt, "--tokenizer", workspace["tok"],
-                     "--corpus", workspace["corpus"], "--sequences-per-lang", "1",
+                     "--corpus", workspace["corpus"],
+                     "--sequences-per-lang", str(2 * analysis.CHUNK + 1),
                      "--seed", "2", "--out-dir", str(out_dir)]) == 1
+        assert threading.active_count() == threads
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: language 'aa': MoE layer 0 routes from non-finite "
@@ -905,9 +915,12 @@ def module_functions(module, exempt=()):
 
 def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
     """No module of moelab holds a function that the eight subcommands and
-    sampled decoding leave unused, apart from the exemptions named below."""
+    sampled decoding leave unused, apart from the exemptions named below.
+    Calls are recorded on every thread, so work that tensor.thread_map runs
+    on its workers counts."""
     import importlib
     import pkgutil
+    import threading
 
     from moelab.model import generate
     from moelab.trainer import load_checkpoint
@@ -930,6 +943,7 @@ def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
     truncated = tmp_path / "truncated.ckpt"
     truncated.write_bytes(Path(workspace["ckpt"]).read_bytes()[:-1])
     sys.setprofile(record)
+    threading.setprofile(record)
     try:
         assert main(["synth-corpus", "--families", "2", "--langs-per-family", "2",
                      "--docs-per-lang", "2", "--doc-len", "10", "--seed", "1",
@@ -958,6 +972,7 @@ def test_product_paths_enter_every_function(workspace, tmp_path, capsys):
                      workspace["tok"], "--prompt", "ab", "--max-new-tokens", "1"]) == 1
     finally:
         sys.setprofile(None)
+        threading.setprofile(None)
     capsys.readouterr()
     for info in pkgutil.iter_modules(moelab.__path__):
         module = importlib.import_module(f"moelab.{info.name}")

@@ -4,19 +4,21 @@ import ast
 import hashlib
 import math
 import re
+import threading
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from moelab import tensor
 from moelab.errors import GraphConsumedError, ShapeError
 from moelab.model import QUERY_BLOCK, Model, attention, desk_config, generate
 from moelab.optim import CLIP_NORM, AdamState, adam_step, clip_global_norm
 from moelab.moe import combine
 from moelab.optim import BETA1, BETA2, EPS
 from moelab.tensor import (LN_EPS, Tensor, check_ids, cross_entropy, embedding, feed_forward,
-                           grad_check, layer_norm, linear, no_grad, softmax)
+                           grad_check, grad_enabled, layer_norm, linear, no_grad, softmax)
 from moelab.tokenizer import Tokenizer
 from moelab.trainer import total_loss
 
@@ -589,6 +591,64 @@ class TestBackward:
             (y * w).sum().backward()
         assert np.array_equal(x.grad, once) and w.grad is None
         assert np.array_equal(y.data, [4.0, 9.0])  # forward values stay readable
+
+
+class TestGradModeIsPerContext:
+    def test_another_threads_no_grad_neither_stops_nor_ends_this_ones(self):
+        """Thread T enters no_grad(); the main thread still records. The main
+        thread then enters no_grad() and T leaves its block: the main thread's
+        block still records nothing, and recording is back once it leaves."""
+        x = Tensor([1.0], requires_grad=True)
+        entered, leave = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with no_grad():
+                entered.set()
+                leave.wait(timeout=10)
+
+        t = threading.Thread(target=hold_no_grad)
+        t.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert grad_enabled() and (x * 3.0).requires_grad
+            with no_grad():
+                leave.set()
+                t.join(timeout=10)
+                assert not t.is_alive()
+                assert not grad_enabled() and not (x * 3.0).requires_grad
+        finally:
+            leave.set()
+            t.join(timeout=10)
+        assert grad_enabled() and (x * 3.0).requires_grad
+
+    def test_thread_map_workers_inherit_no_grad_and_errstate(self, monkeypatch):
+        monkeypatch.setattr(tensor, "WORKERS", 3)
+        x = Tensor([1.0], requires_grad=True)
+
+        def probe(i):  # i >= 300 overflows: a RuntimeWarning, which the test settings raise
+            overflow = bool(np.isinf(np.float64(1e300) * 10.0 ** i))
+            return grad_enabled(), (x * float(i)).requires_grad, overflow
+
+        with no_grad(), np.errstate(over="ignore"):
+            assert tensor.thread_map(probe, range(300, 305)) == [(False, False, True)] * 5
+        assert tensor.thread_map(probe, range(3)) == [(True, True, False)] * 3
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            tensor.thread_map(probe, range(300, 305))
+
+
+def test_thread_map_keeps_item_order_raises_the_first_error_and_joins(monkeypatch):
+    monkeypatch.setattr(tensor, "WORKERS", 3)
+    before = threading.active_count()
+    assert tensor.thread_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+
+    def fail_on_odd(i):
+        if i % 2:
+            raise ValueError(f"item {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^item 1$"):
+        tensor.thread_map(fail_on_odd, range(7))
+    assert threading.active_count() == before
 
 
 def graph_nodes(root):
